@@ -12,7 +12,7 @@ Run:  python examples/jarvis_patrick_clustering.py
 
 import numpy as np
 
-from repro import aknn_join
+from repro import JoinConfig, aknn_join
 
 
 def jarvis_patrick(points: np.ndarray, k: int = 12, shared_min: int = 5) -> np.ndarray:
@@ -22,7 +22,7 @@ def jarvis_patrick(points: np.ndarray, k: int = 12, shared_min: int = 5) -> np.n
     neighbours and their neighbour lists share >= ``shared_min`` entries;
     clusters are the connected components of that link graph.
     """
-    result, stats = aknn_join(points, k=k)
+    result, stats = aknn_join(points, config=JoinConfig(k=k))
     print(f"AkNN join: {stats.distance_evaluations:,} distance evaluations, "
           f"{stats.page_misses:,} page misses")
 

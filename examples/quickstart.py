@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import all_nearest_neighbors
+from repro import JoinConfig, all_nearest_neighbors
 
 rng = np.random.default_rng(0)
 restaurants = rng.random((2_000, 2)) * 100.0   # query set R
@@ -29,7 +29,7 @@ print(f"page misses          : {stats.page_misses:,}")
 print(f"simulated I/O time   : {stats.io_time_s:.3f}s")
 
 # The same call answers All-k-Nearest-Neighbor queries:
-result5, __ = all_nearest_neighbors(restaurants, hotels, k=5)
+result5, __ = all_nearest_neighbors(restaurants, hotels, config=JoinConfig(k=5))
 print(f"\n5 nearest hotels of restaurant 0: {result5.neighbors_of(0)}")
 
 # ... and self-joins (each point's nearest *other* point), the form used

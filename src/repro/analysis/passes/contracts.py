@@ -16,8 +16,7 @@ Rules
   vs. the validator's inline sets.
 * ``DRIFT-003`` — ``trace-report`` subscripts a key the schema does not
   declare.
-* ``DRIFT-004`` — config dataclass fields vs. ``describe()`` keys (and
-  the legacy-kwargs allowlist).
+* ``DRIFT-004`` — config dataclass fields vs. ``describe()`` keys.
 * ``DRIFT-005`` — CLI reads ``args.<dest>`` that no ``add_argument``
   defines.
 * ``DRIFT-006`` — join registry entry declares an unknown index kind,
@@ -38,7 +37,7 @@ RULES = {
     "DRIFT-001": "TRACE_SCHEMA span/stage keys drifted from the validator's key sets",
     "DRIFT-002": "TRACE_SCHEMA top-level keys drifted from the validator's key sets",
     "DRIFT-003": "trace-report reads a key TRACE_SCHEMA does not declare",
-    "DRIFT-004": "config dataclass fields drifted from describe()/legacy allowlist",
+    "DRIFT-004": "config dataclass fields drifted from describe()",
     "DRIFT-005": "CLI reads an args attribute no add_argument defines",
     "DRIFT-006": "join registry entry is inconsistent (index kind, runner, or name)",
 }
@@ -293,19 +292,6 @@ def _check_configs(model: ProjectModel) -> Iterator[Diagnostic]:
     cfg_mod = model.modules.get(f"{model.package}.config")
     if cfg_mod is not None:
         yield from _check_config_class(cfg_mod, "JoinConfig", {"trace"})
-        legacy = _const_strings(_assigned_value(cfg_mod.tree, "_LEGACY_KEYS"))
-        cls_node = _class_def(cfg_mod, "JoinConfig")
-        if legacy is not None and cls_node is not None:
-            fields = _dataclass_init_fields(cls_node)
-            if legacy != fields:
-                yield Diagnostic(
-                    cfg_mod.display_path, _line_of(cfg_mod, "_LEGACY_KEYS"), 0, "DRIFT-004",
-                    _diff_msg(
-                        "legacy-kwargs allowlist",
-                        "_LEGACY_KEYS", legacy,
-                        "JoinConfig fields", fields,
-                    ),
-                )
     svc_mod = model.modules.get(f"{model.package}.service.config")
     if svc_mod is not None:
         yield from _check_config_class(svc_mod, "ServiceConfig", {"trace"})

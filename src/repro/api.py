@@ -12,10 +12,6 @@ Most users need only these functions::
     cfg = JoinConfig(k=5, workers=4, node_cache_entries=256, trace="t.json")
     result, stats = all_nearest_neighbors(r_points, config=cfg)
 
-The pre-``JoinConfig`` keyword spellings (``k=``, ``workers=``, …) still
-work through a ``DeprecationWarning`` shim; see
-:func:`repro.config.config_from_legacy_kwargs`.
-
 Everything is built on the lower-level pieces, which remain public for
 power users: index builders (:func:`build_index`), the traversal engine
 (:func:`repro.core.mba.mba_join`), the baselines in :mod:`repro.join`,
@@ -30,7 +26,7 @@ from typing import Any, ContextManager
 
 import numpy as np
 
-from .config import INDEX_KINDS, JoinConfig, config_from_legacy_kwargs
+from .config import INDEX_KINDS, JoinConfig
 from .core.geometry import Rect
 from .core.mba import mba_join
 from .core.result import NeighborResult
@@ -106,35 +102,15 @@ def build_join_indexes(
 
 def _resolve_config(
     config: JoinConfig | None,
-    legacy: dict[str, Any],
     trace: TraceDestination,
-    api_name: str,
     base: JoinConfig | None = None,
 ) -> JoinConfig:
-    """One JoinConfig out of whatever spelling the caller used.
+    """One JoinConfig out of ``config=`` and the ``trace=`` shorthand.
 
-    Precedence: explicit ``config`` < legacy keyword shim < the first-class
-    ``trace=`` keyword (which is *not* deprecated — it is the documented
-    way to request a trace without building a config object).
+    The ``trace=`` keyword wins over ``config.trace``: it is the
+    documented way to request a trace without building a config object.
     """
-    if config is not None and legacy:
-        raise TypeError(
-            f"{api_name}() got both `config=` and legacy keyword argument(s) "
-            f"{sorted(legacy)}; put everything on the JoinConfig"
-        )
-    if legacy:
-        # stacklevel=4 walks warn -> config_from_legacy_kwargs ->
-        # _resolve_config -> all_nearest_neighbors/aknn_join -> the
-        # caller's own line, so the DeprecationWarning blames the
-        # deprecated call site, not this module.
-        cfg = config_from_legacy_kwargs(
-            legacy,
-            defaults=base if base is not None else JoinConfig(),
-            api_name=api_name,
-            stacklevel=4,
-        )
-    else:
-        cfg = config if config is not None else (base if base is not None else JoinConfig())
+    cfg = config if config is not None else (base if base is not None else JoinConfig())
     if trace is not None:
         cfg = cfg.replace(trace=trace)
     return cfg
@@ -147,7 +123,6 @@ def all_nearest_neighbors(
     *,
     storage: StorageManager | None = None,
     trace: TraceDestination = None,
-    **legacy: Any,
 ) -> tuple[NeighborResult, QueryStats]:
     """All-(k-)nearest-neighbour query with the paper's MBA algorithm.
 
@@ -179,10 +154,6 @@ def all_nearest_neighbors(
         Shorthand for ``config.trace`` — a path writes the JSON trace
         artifact there, a live :class:`~repro.obs.Tracer` records into it.
         Traced and untraced runs return bit-identical results.
-
-    Legacy keywords (``k=``, ``kind=``, ``metric=``, ``exclude_self=``,
-    ``workers=``, ``node_cache_entries=``) are still accepted with a
-    ``DeprecationWarning``; they cannot be mixed with ``config=``.
     """
     # A self-join with a positional config — all_nearest_neighbors(r, cfg)
     # — reads naturally but lands the config in the s_points slot; shift
@@ -191,7 +162,7 @@ def all_nearest_neighbors(
         if config is not None:
             raise TypeError("two JoinConfig arguments given (s_points slot and config=)")
         config, s_points = s_points, None
-    cfg = _resolve_config(config, legacy, trace, "all_nearest_neighbors")
+    cfg = _resolve_config(config, trace)
     r_points = np.asarray(r_points, dtype=np.float64)
     self_join = s_points is None
     exclude_self = cfg.resolve_exclude_self(self_join)
@@ -238,12 +209,7 @@ def all_nearest_neighbors(
                     exclude_self=exclude_self, trace=tracer,
                 )
                 stats.cpu_time_s += time.process_time() - t0
-                io = storage.io_snapshot()
-                stats.logical_reads += io["logical_reads"]
-                stats.page_misses += io["page_misses"]
-                stats.io_time_s += io["io_time_s"]
-                stats.node_cache_hits += io["node_cache_hits"]
-                stats.node_cache_misses += io["node_cache_misses"]
+                stats.add_io(storage.io_snapshot())
 
     session.finalize(
         meta={
@@ -265,20 +231,15 @@ def aknn_join(
     *,
     storage: StorageManager | None = None,
     trace: TraceDestination = None,
-    **legacy: Any,
 ) -> tuple[NeighborResult, QueryStats]:
     """All-k-nearest-neighbour query (Section 3.4); sugar over
     :func:`all_nearest_neighbors` with ``k`` defaulting to 10.
 
-    An explicit ``config`` is used as-is (its ``k`` wins); legacy
-    keywords ride the same deprecation shim as
-    :func:`all_nearest_neighbors`.
+    An explicit ``config`` is used as-is (its ``k`` wins).
     """
     if isinstance(s_points, JoinConfig):
         if config is not None:
             raise TypeError("two JoinConfig arguments given (s_points slot and config=)")
         config, s_points = s_points, None
-    cfg = _resolve_config(
-        config, legacy, trace, "aknn_join", base=JoinConfig(k=10)
-    )
+    cfg = _resolve_config(config, trace, base=JoinConfig(k=10))
     return all_nearest_neighbors(r_points, s_points, cfg, storage=storage)

@@ -150,11 +150,7 @@ def run_method(
         cpu = time.process_time() - t0
     io = storage.io_snapshot()
     stats.cpu_time_s += cpu
-    stats.io_time_s += io["io_time_s"]
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    stats.add_io(io)
     return MethodRun(
         label=label,
         cpu_s=cpu,

@@ -184,19 +184,16 @@ def _bench_end_to_end(
     storage.reset_counters()
     storage.drop_caches()
     tracer = current_tracer()
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     if tracer is None:
         result, stats = mba_join(index, index, k=k, exclude_self=True)
     else:
         with tracer.span("end-to-end", kind=kind, n=n, k=k):
             result, stats = mba_join(index, index, k=k, exclude_self=True, trace=tracer)
     wall = time.perf_counter() - t0
+    stats.cpu_time_s += time.process_time() - cpu0
     io = storage.io_snapshot()
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.io_time_s += io["io_time_s"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    stats.add_io(io)
     return {
         "label": f"{kind}-n{n}-k{k}",
         "kind": kind,
@@ -229,9 +226,12 @@ def _bench_frontier(
     ) -> tuple[float, NeighborResult, QueryStats]:
         storage.reset_counters()
         storage.drop_caches()
-        t0 = time.perf_counter()
+        t0, cpu0 = time.perf_counter(), time.process_time()
         result, stats = join(index, index, k=k, exclude_self=True)
-        return time.perf_counter() - t0, result, stats
+        wall = time.perf_counter() - t0
+        stats.cpu_time_s += time.process_time() - cpu0
+        stats.add_io(storage.io_snapshot())
+        return wall, result, stats
 
     baseline_s, baseline_result, __ = cold(mba_join)
     frontier_s, frontier_result, stats = cold(frontier_join)

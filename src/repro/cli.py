@@ -375,12 +375,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         raise SystemExit(f"--replicas must be >= 1, got {args.replicas}")
     if args.replicas > 1:
-        if args.workers != 1:
-            raise SystemExit("--workers shards a single service; with --replicas "
-                             "the replica processes are the parallelism")
-        if args.frontier_flush:
-            raise SystemExit("--frontier-flush applies to the single-process "
-                             "service, not --replicas")
         return _cmd_serve_cluster(args, points)
     if args.cache_slots:
         raise SystemExit("--cache-slots is the shared cross-process cache; "
@@ -391,8 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_delay_ms=args.max_delay_ms,
             queue_capacity=args.queue_capacity,
             deadline_ms=args.deadline_ms,
-            workers=args.workers,
-            frontier_flush=args.frontier_flush,
             trace=args.trace,
         )
     except (TypeError, ValueError) as exc:
@@ -414,8 +406,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{len(answers) - exact} degraded)")
     print(f"  batches          : {service.counters.batches} "
           f"(singleton {service.counters.singleton_flushes}, "
-          f"batched {service.counters.batched_flushes}, "
-          f"sharded {service.counters.sharded_flushes})")
+          f"batched {service.counters.batched_flushes})")
     print(f"  max queue length : {service.counters.max_queue_len} "
           f"(capacity {cfg.queue_capacity})")
     if args.once:
@@ -596,11 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-delay-ms", type=float, default=2.0)
     p.add_argument("--queue-capacity", type=int, default=1024)
     p.add_argument("--deadline-ms", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for sharding large flushes")
-    p.add_argument("--frontier-flush", action="store_true",
-                   help="answer batched flushes with the level-synchronous "
-                        "frontier engine (mba-frontier) instead of recursive MBA")
     p.add_argument("--replicas", type=int, default=1,
                    help="serve from N mapped-epoch replica processes behind "
                         "the asyncio front-end (repro.serve) instead of the "

@@ -1,39 +1,28 @@
 """The public API's front door: one validated, frozen configuration object.
 
-Every knob that used to arrive as an ad-hoc keyword argument (or, for
-``node_cache_entries``, only as a CLI flag) now lives on
-:class:`JoinConfig`::
+Every join knob lives on :class:`JoinConfig`::
 
     from repro import JoinConfig, all_nearest_neighbors
 
     cfg = JoinConfig(k=5, workers=4, node_cache_entries=256, trace="t.json")
     result, stats = all_nearest_neighbors(points, config=cfg)
 
-The old keyword forms still work — :func:`config_from_legacy_kwargs`
-forwards them into a :class:`JoinConfig` and emits a
-``DeprecationWarning`` — so existing callers keep running while the
-config object becomes the single place where validation happens.  The
+The config object is the single place where validation happens.  The
 CLI builds a :class:`JoinConfig` from its flags too, so Python callers
 and command-line runs go through identical validation.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .core.pruning import PruningMetric
 from .obs.tracer import TraceDestination, Tracer
 
-__all__ = ["JoinConfig", "config_from_legacy_kwargs", "INDEX_KINDS"]
+__all__ = ["JoinConfig", "INDEX_KINDS"]
 
 INDEX_KINDS = ("mbrqt", "rstar")
-
-#: Keyword names the deprecation shim accepts (the pre-JoinConfig API).
-_LEGACY_KEYS = frozenset(
-    {"k", "kind", "metric", "exclude_self", "workers", "node_cache_entries", "trace"}
-)
 
 
 @dataclass(frozen=True)
@@ -129,40 +118,3 @@ class JoinConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return replace(self, **changes)
 
-
-def config_from_legacy_kwargs(
-    legacy: dict[str, Any],
-    defaults: JoinConfig | None = None,
-    api_name: str = "all_nearest_neighbors",
-    stacklevel: int = 2,
-) -> JoinConfig:
-    """Fold pre-``JoinConfig`` keyword arguments into a config object.
-
-    This is the deprecation shim behind :func:`repro.all_nearest_neighbors`
-    and :func:`repro.aknn_join`: every recognised key is forwarded onto a
-    :class:`JoinConfig` (warning once per call site), and unknown keys
-    raise ``TypeError`` exactly as an unexpected keyword would.
-
-    ``stacklevel`` is the number of frames between this function and the
-    *deprecated call site* the warning should point at, counted the way
-    :func:`warnings.warn` counts: 2 blames this function's direct caller
-    (the default for external users of the shim); wrappers add one per
-    intervening frame — the public API passes 4 for the chain
-    ``user -> all_nearest_neighbors -> _resolve_config -> here``, so the
-    warning's filename/lineno land on the user's own line.
-    """
-    unknown = set(legacy) - _LEGACY_KEYS
-    if unknown:
-        raise TypeError(
-            f"{api_name}() got unexpected keyword argument(s) "
-            f"{sorted(unknown)}; valid JoinConfig fields are "
-            f"{sorted(f.name for f in fields(JoinConfig))}"
-        )
-    warnings.warn(
-        f"passing {sorted(legacy)} as keyword arguments to {api_name}() is "
-        "deprecated; build a repro.JoinConfig and pass it as `config=` instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    base = defaults if defaults is not None else JoinConfig()
-    return replace(base, **legacy)

@@ -26,6 +26,7 @@ aggregates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Any, Mapping
 
 __all__ = ["QueryStats"]
 
@@ -77,6 +78,19 @@ class QueryStats:
         """Count ``count`` pairwise metric evaluations (batch size of a
         vectorised kernel call)."""
         self.distance_evaluations += count
+
+    def add_io(self, io: Mapping[str, Any]) -> None:
+        """Fold one storage I/O snapshot into these counters.
+
+        ``io`` is a :meth:`~repro.storage.manager.StorageManager.
+        io_snapshot` mapping; taking the mapping rather than the manager
+        keeps the core free of storage imports.
+        """
+        self.logical_reads += io["logical_reads"]
+        self.page_misses += io["page_misses"]
+        self.io_time_s += io["io_time_s"]
+        self.node_cache_hits += io["node_cache_hits"]
+        self.node_cache_misses += io["node_cache_misses"]
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another stats record into this one (in place)."""

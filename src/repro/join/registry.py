@@ -283,12 +283,7 @@ def run_join(
     if cfg.workers <= 1 or not method.supports_workers:
         # Serial runs fold the storage I/O here; a sharded run's workers
         # already counted their own (the coordinator saw only planning).
-        io = storage.io_snapshot()
-        stats.logical_reads += io["logical_reads"]
-        stats.page_misses += io["page_misses"]
-        stats.io_time_s += io["io_time_s"]
-        stats.node_cache_hits += io["node_cache_hits"]
-        stats.node_cache_misses += io["node_cache_misses"]
+        stats.add_io(storage.io_snapshot())
     return JoinOutcome(
         method=name,
         result=result,

@@ -157,11 +157,7 @@ def run_shard(task: ShardTask) -> ShardOutcome:
             merged.merge(result)
     stats.cpu_time_s += time.process_time() - t0
     io = manager.io_snapshot()
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.io_time_s += io["io_time_s"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]
+    stats.add_io(io)
     span_dict = trace.root.children[0] if trace is not None else None
     return task.shard_id, merged, stats, io, span_dict
 

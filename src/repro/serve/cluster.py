@@ -17,8 +17,8 @@
   every replica;
 * the **replica fleet** — N :class:`~repro.serve.replica.ReplicaHandle`
   workers, each with a fair slice of the pool/node-cache budget (same
-  partition discipline as the sharded thread path: scale-out must not
-  quietly multiply cache memory).
+  partition discipline as the :mod:`repro.parallel` executor: scale-out
+  must not quietly multiply cache memory).
 
 Consistency note: replicas answer from the last *published* epoch; the
 pending delta is the writer's alone.  That is the standard

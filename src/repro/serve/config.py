@@ -7,9 +7,7 @@ single-process service), and the serve-side knobs cover the topology
 and the admission policy of the front-end:
 
 * ``replicas`` — worker processes answering batches against the mapped
-  epoch.  Scale-out happens here; each replica's engine runs
-  single-worker (``service.workers`` must be 1 — a mapped epoch has no
-  snapshot for sharded worker threads to re-reopen).
+  epoch.  Scale-out happens here.
 * ``cache_slots`` / ``cache_slot_bytes`` — geometry of the
   cross-process :class:`~repro.serve.shared_cache.SharedNodeCache`
   (0 slots disables the layer).
@@ -93,12 +91,6 @@ class ServeConfig:
         if self.drain_timeout_s <= 0:
             raise ValueError(
                 f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
-            )
-        if self.service.workers != 1:
-            raise ValueError(
-                "replica engines are single-worker (mapped epochs have no "
-                "snapshot for sharded threads); scale with replicas= instead "
-                f"of service.workers={self.service.workers}"
             )
 
     def describe(self) -> dict[str, Any]:

@@ -72,9 +72,8 @@ def load_epoch_version(
     """Map a published epoch directory into a servable ``IndexVersion``.
 
     The returned version has ``snapshot=None`` (zero-copy: the pages live
-    in the artifact file, not in this process) and is therefore valid for
-    every flush mode except ``sharded`` — replica engines run
-    single-worker by :class:`~repro.serve.config.ServeConfig` decree.
+    in the artifact file, not in this process); every flush mode serves
+    it.
     """
     meta = read_epoch_meta(path)
     manager = map_manager(

@@ -3,9 +3,9 @@
 :class:`ServiceConfig` mirrors :class:`~repro.config.JoinConfig` — same
 frozen-dataclass shape, same validation style — and *shares* the join
 validation outright: the join-side knobs (``kind``, ``metric``,
-``workers``, ``node_cache_entries``, ``trace``) are folded into an
-embedded :class:`JoinConfig` in ``__post_init__``, so an invalid value
-fails with exactly the error the offline API would raise.
+``node_cache_entries``, ``trace``) are folded into an embedded
+:class:`JoinConfig` in ``__post_init__``, so an invalid value fails with
+exactly the error the offline API would raise.
 
 The service-side knobs are the micro-batching and admission policy:
 
@@ -17,9 +17,6 @@ The service-side knobs are the micro-batching and admission policy:
   degrade); a request past its deadline at flush time is answered from
   a budgeted browse of ``degrade_budget`` node expansions and flagged
   ``approximate=True``.
-* ``workers`` / ``parallel_threshold`` — flushes of at least
-  ``parallel_threshold`` requests are sharded across ``workers`` threads
-  using the :mod:`repro.parallel` shard machinery.
 * ``cold_flush`` — drop the buffer pool before every flush (the
   harness's cold-run measurement discipline; models a pool shared with
   heavy unrelated traffic).  Leave True for benchmarking; a dedicated
@@ -47,7 +44,7 @@ class ServiceConfig:
 
     Parameters
     ----------
-    kind, metric, workers, node_cache_entries, trace:
+    kind, metric, node_cache_entries, trace:
         Join-side knobs, validated through the embedded
         :class:`~repro.config.JoinConfig` (see :attr:`join`).  ``trace``
         names the service's trace destination: the artifact (with
@@ -69,20 +66,11 @@ class ServiceConfig:
         Node expansions granted to a past-deadline request's budgeted
         best-candidate browse (>= 0; 0 returns an empty approximate
         answer immediately).
-    parallel_threshold:
-        Minimum flush size that engages the sharded thread path when
-        ``workers > 1`` (>= 2).
     pool_pages / page_size:
         Storage geometry of the service's read-only snapshot manager
         (and of the per-flush query-side scratch index).
     cold_flush:
         Drop caches before each flush (measurement discipline).
-    frontier_flush:
-        Answer batched flushes with the level-synchronous frontier
-        engine (:func:`~repro.core.frontier.frontier_join`) instead of
-        the recursive MBA — answer-identical, and faster once flushes
-        coalesce many queries.  Sharded (``workers > 1``) and degraded
-        paths are unaffected.
     compact_threshold:
         Pending delta operations (inserts + tombstones) at which
         :meth:`~repro.service.service.AnnService.insert` /
@@ -100,13 +88,10 @@ class ServiceConfig:
     queue_capacity: int = 1024
     deadline_ms: float | None = None
     degrade_budget: int = 32
-    workers: int = 1
-    parallel_threshold: int = 64
     pool_pages: int = DEFAULT_POOL_PAGES
     page_size: int = DEFAULT_PAGE_SIZE
     node_cache_entries: int = 0
     cold_flush: bool = True
-    frontier_flush: bool = False
     compact_threshold: int = 64
     trace: TraceDestination = None
 
@@ -117,11 +102,10 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         # Join-side validation is JoinConfig's; an invalid kind/metric/
-        # workers/node_cache_entries/trace raises its exact error.
+        # node_cache_entries/trace raises its exact error.
         join = JoinConfig(
             kind=self.kind,
             metric=self.metric,
-            workers=self.workers,
             node_cache_entries=self.node_cache_entries,
             trace=self.trace,
             exclude_self=False,
@@ -141,10 +125,6 @@ class ServiceConfig:
             )
         if self.degrade_budget < 0:
             raise ValueError(f"degrade_budget must be >= 0, got {self.degrade_budget}")
-        if self.parallel_threshold < 2:
-            raise ValueError(
-                f"parallel_threshold must be >= 2, got {self.parallel_threshold}"
-            )
         if self.pool_pages < 1:
             raise ValueError(f"pool_pages must be >= 1, got {self.pool_pages}")
         if self.compact_threshold < 1:
@@ -166,13 +146,10 @@ class ServiceConfig:
             "queue_capacity": self.queue_capacity,
             "deadline_ms": self.deadline_ms,
             "degrade_budget": self.degrade_budget,
-            "workers": self.workers,
-            "parallel_threshold": self.parallel_threshold,
             "pool_pages": self.pool_pages,
             "page_size": self.page_size,
             "node_cache_entries": self.node_cache_entries,
             "cold_flush": self.cold_flush,
-            "frontier_flush": self.frontier_flush,
             "compact_threshold": self.compact_threshold,
         }
 

@@ -30,18 +30,13 @@ Per flush, the engine packs the coalesced query points into a tiny
 query-side MBRQT (built in a scratch manager, so its build/read I/O is
 charged to the batch that needed it) and answers all of them with one
 :func:`~repro.core.mba.mba_join` traversal — the paper's batching
-thesis applied to an online arrival stream.  Three execution modes:
+thesis applied to an online arrival stream.  Two execution modes:
 
 * ``singleton`` — a flush of one request skips the scratch index and
   runs plain incremental browsing (:func:`~repro.index.queries.
   nearest_iter`); micro-batching degrades gracefully to exactly the
   one-at-a-time baseline.
-* ``batched`` — the default: scratch MBRQT + one MBA traversal.
-* ``sharded`` — flushes of at least ``parallel_threshold`` requests
-  with ``workers > 1`` split the scratch index into subtree shards
-  (:func:`~repro.parallel.sharding.pack_shards`) and traverse them on
-  worker threads, each against its own read-only reopen of both
-  snapshots with an exact-partition slice of the pool budget.
+* ``batched`` — every larger flush: scratch MBRQT + one MBA traversal.
 
 Past-deadline requests never ride the exact traversal: they get a
 *budgeted browse* — ``nearest_iter`` abandoned after ``degrade_budget``
@@ -53,7 +48,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import ContextManager, Sequence
@@ -61,29 +55,22 @@ from typing import ContextManager, Sequence
 import numpy as np
 
 from ..core.geometry import Rect
-from ..core.frontier import frontier_join
 from ..core.mba import mba_join
 from ..core.result import NeighborResult
 from ..core.stats import QueryStats
-from ..index.base import PagedIndex, PagedIndexSpec, ShardRoot
+from ..index.base import PagedIndex
 from ..index.delta import DeltaIndex, DeltaView, merge_answer
 from ..index.mbrqt import build_mbrqt
 from ..index.mutable import MutableMBRQT, MutableRStar
 from ..index.queries import nearest_iter
 from ..index.rstar import build_rstar
 from ..obs.tracer import Tracer
-from ..parallel.sharding import pack_shards, shard_seed_bound
-from ..storage.manager import (
-    StorageManager,
-    StorageSnapshot,
-    worker_node_cache_entries,
-    worker_pool_pages,
-)
+from ..storage.manager import StorageManager, StorageSnapshot
 from ..storage.versioning import IndexVersion, VersionManager
 from .config import ServiceConfig
 from .request import Request
 
-__all__ = ["BatchEngine", "FlushOutcome", "RawAnswer", "execute_pinned", "fold_io"]
+__all__ = ["BatchEngine", "FlushOutcome", "RawAnswer", "execute_pinned"]
 
 #: Pool budget of the per-flush scratch manager holding the query-side
 #: index.  The scratch tree is tiny (max_batch points); a handful of
@@ -101,7 +88,7 @@ class FlushOutcome:
     answers: dict[int, RawAnswer]
     stats: QueryStats
     mode: str
-    """``"singleton"``, ``"batched"``, ``"sharded"``, or ``"degraded"``
+    """``"singleton"``, ``"batched"``, or ``"degraded"``
     (every request in the flush was past deadline)."""
     n_exact: int
     n_degraded: int
@@ -337,9 +324,7 @@ def execute_pinned(
 
     The caller owns the pin/release bracket (and the delta freeze);
     this function never touches the version chain.  Mapped epochs
-    (``version.snapshot is None``) are valid for every mode except
-    ``sharded``, which needs a snapshot for its worker threads to
-    re-reopen.
+    (``version.snapshot is None``) are valid in every mode.
     """
     if config.cold_flush:
         version.manager.drop_caches()
@@ -386,15 +371,9 @@ def execute_pinned(
             # Over-fetch by the tombstone count: each tombstone can
             # mask at most one base candidate, so k survivors remain.
             kmax = max(r.k for r in live) + delta.n_tombstones
-            use_shards = (
-                config.workers > 1 and len(live) >= config.parallel_threshold
-            )
-            mode = "sharded" if use_shards else "batched"
+            mode = "batched"
             with stage("traverse"):
-                if use_shards:
-                    result = _sharded_join(config, live, kmax, stats, trace, version)
-                else:
-                    result = _batched_join(config, live, kmax, stats, trace, version)
+                result = _batched_join(config, live, kmax, stats, trace, version)
             for i, request in enumerate(live):
                 bucket = result.neighbors_of(i)[: request.k + delta.n_tombstones]
                 ids, dists = merge_answer(
@@ -406,7 +385,7 @@ def execute_pinned(
                 )
                 answers[request.request_id] = (ids, dists, False)
         stats.cpu_time_s += time.process_time() - t0
-    fold_io(version.manager, stats)
+    stats.add_io(version.manager.io_snapshot())
     return FlushOutcome(
         answers=answers,
         stats=stats,
@@ -536,133 +515,15 @@ def _batched_join(
         page_size=config.page_size, pool_pages=SCRATCH_POOL_PAGES
     )
     q_index = _scratch_index(config, live, scratch, version)
-    if config.frontier_flush:
-        result, __ = frontier_join(
-            q_index,
-            version.index,
-            metric=config.metric,
-            k=kmax,
-            exclude_self=False,
-            stats=stats,
-            trace=trace,
-        )
-    else:
-        result, __ = mba_join(
-            q_index,
-            version.index,
-            metric=config.metric,
-            k=kmax,
-            exclude_self=False,
-            stats=stats,
-            trace=trace,
-        )
-    fold_io(scratch, stats)
-    return result
-
-
-def _sharded_join(
-    config: ServiceConfig,
-    live: Sequence[Request],
-    kmax: int,
-    stats: QueryStats,
-    trace: Tracer | None,
-    version: IndexVersion,
-) -> NeighborResult:
-    """Large flush: shard the scratch index across worker threads.
-
-    Reuses the :mod:`repro.parallel` planning machinery (subtree
-    roots, LPT bin-packing, Lemma 3.2 seed bounds); each thread
-    reopens *both* snapshots read-only with its own exact-partition
-    slice of the pool budget, so threads share no mutable storage
-    state and the aggregate pool memory of a sharded flush never
-    exceeds the serial flush's.
-    """
-    base_snapshot = version.snapshot
-    if base_snapshot is None:
-        raise ValueError(
-            "sharded flush needs version.snapshot; mapped epochs serve workers=1"
-        )
-    n_workers = config.workers
-    scratch = StorageManager(
-        page_size=config.page_size, pool_pages=SCRATCH_POOL_PAGES
+    result, __ = mba_join(
+        q_index,
+        version.index,
+        metric=config.metric,
+        k=kmax,
+        exclude_self=False,
+        stats=stats,
+        trace=trace,
     )
-    q_index = _scratch_index(config, live, scratch, version)
-    roots = q_index.shard_roots(min_roots=n_workers)
-    shards = pack_shards(roots, n_workers)
-    q_spec = q_index.detach()
-    q_snapshot = scratch.snapshot()
-    fold_io(scratch, stats)
-    seeds = [
-        tuple(
-            shard_seed_bound(
-                root.rect, version.index.root_rect, version.size,
-                config.metric, kmax,
-            )
-            for root in shard
-        )
-        for shard in shards
-    ]
-    stats.record_distances(sum(len(s) for s in seeds))
-
-    def run_shard(
-        shard_id: int, shard: list[ShardRoot], shard_seeds: tuple[float, ...]
-    ) -> tuple[NeighborResult, QueryStats]:
-        # Per-shard budget shares partition the serial budgets
-        # exactly (shard i of n gets share i, not every shard the
-        # same over-counted slice).
-        target = StorageManager.reopen(
-            base_snapshot,
-            pool_pages=worker_pool_pages(
-                config.pool_pages, len(shards), shard_id
-            ),
-            node_cache_entries=worker_node_cache_entries(
-                config.node_cache_entries, len(shards), shard_id
-            ),
-        )
-        s_index = PagedIndex.attach(version.spec, target)
-        q_manager = StorageManager.reopen(
-            q_snapshot,
-            pool_pages=worker_pool_pages(SCRATCH_POOL_PAGES, len(shards), shard_id),
-        )
-        q_shard = PagedIndex.attach(q_spec, q_manager)
-        # No per-thread CPU timing: ``process_time`` already sums the
-        # CPU of every thread in the process, so the flush-level delta
-        # in :func:`execute_pinned` covers shard work without double
-        # counting.
-        local = QueryStats()
-        merged = NeighborResult(kmax)
-        for root, seed in zip(shard, shard_seeds):
-            part, __ = mba_join(
-                q_shard,
-                s_index,
-                metric=config.metric,
-                k=kmax,
-                exclude_self=False,
-                stats=local,
-                root_entry=root,
-                seed_bound=seed,
-            )
-            merged.merge(part)
-        fold_io(target, local)
-        fold_io(q_manager, local)
-        return merged, local
-
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        outcomes = list(pool.map(run_shard, range(len(shards)), shards, seeds))
-    result = NeighborResult(kmax)
-    for merged, local in outcomes:
-        result.merge(merged)
-        stats.merge(local)
-    if trace is not None:
-        trace.counter("service.shard_flush_threads", len(shards))
+    stats.add_io(scratch.io_snapshot())
     return result
 
-
-def fold_io(manager: StorageManager, stats: QueryStats) -> None:
-    """Absorb a manager's I/O counters into the batch's stats."""
-    io = manager.io_snapshot()
-    stats.logical_reads += io["logical_reads"]
-    stats.page_misses += io["page_misses"]
-    stats.io_time_s += io["io_time_s"]
-    stats.node_cache_hits += io["node_cache_hits"]
-    stats.node_cache_misses += io["node_cache_misses"]

@@ -70,7 +70,6 @@ class ServiceCounters:
     batches: int = 0
     singleton_flushes: int = 0
     batched_flushes: int = 0
-    sharded_flushes: int = 0
     degraded_flushes: int = 0
     max_queue_len: int = 0
     queue_wait_s: float = 0.0

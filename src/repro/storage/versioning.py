@@ -40,15 +40,12 @@ __all__ = ["IndexVersion", "VersionManager"]
 class IndexVersion:
     """One immutable published epoch of the base index.
 
-    ``manager``/``index`` are the coordinator's own read-only reopen;
-    worker threads re-reopen from ``snapshot``/``spec`` with their own
-    budget slices, exactly like :mod:`repro.parallel` shards do.
+    ``manager``/``index`` are the serving read-only reopen;
+    ``snapshot``/``spec`` are what an epoch export writes out.
 
     ``snapshot`` is ``None`` for *mapped* epochs (a replica process that
     attached a published epoch artifact via :mod:`repro.storage.mapped`
-    rather than holding the page tuple in memory) — such versions serve
-    single-worker flushes only, since there is no snapshot for sharded
-    worker threads to re-reopen.
+    rather than holding the page tuple in memory).
     """
 
     epoch: int

@@ -63,6 +63,16 @@ class TestSmokeReport:
             assert row["node_cache_entries"] > 0
             assert row["counters"]["node_cache_hits"] > 0
 
+    def test_end_to_end_sections_fold_io_and_cpu(self):
+        # Both engines' rows carry the storage I/O of their cold run and
+        # a measured CPU time, not zeroed counters.
+        report = kernel_bench(smoke=True, seed=7)
+        for row in report["frontier"]:
+            assert row["counters"]["logical_reads"] > 0
+            assert row["counters"]["page_misses"] > 0
+        for row in report["end_to_end"] + report["frontier"]:
+            assert row["counters"]["cpu_time_s"] > 0
+
     def test_results_deterministic_across_runs(self):
         a = kernel_bench(smoke=True, seed=7)
         b = kernel_bench(smoke=True, seed=7)

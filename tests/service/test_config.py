@@ -19,10 +19,6 @@ class TestSharedJoinValidation:
             JoinConfig(kind="voronoi")
         assert str(service_exc.value) == str(join_exc.value)
 
-    def test_bad_workers_uses_join_error(self):
-        with pytest.raises(ValueError, match="workers"):
-            ServiceConfig(workers=0)
-
     def test_negative_node_cache_rejected(self):
         with pytest.raises(ValueError, match="node_cache_entries"):
             ServiceConfig(node_cache_entries=-1)
@@ -33,10 +29,10 @@ class TestSharedJoinValidation:
         assert cfg.join.metric is PruningMetric.MAXMAXDIST
 
     def test_embedded_join_config_mirrors_knobs(self):
-        cfg = ServiceConfig(kind="rstar", workers=3, node_cache_entries=16)
+        cfg = ServiceConfig(kind="rstar", node_cache_entries=16)
         assert isinstance(cfg.join, JoinConfig)
         assert cfg.join.kind == "rstar"
-        assert cfg.join.workers == 3
+        assert cfg.join.workers == 1
         assert cfg.join.node_cache_entries == 16
         assert cfg.join.exclude_self is False  # a query point can be its own NN
 
@@ -51,7 +47,6 @@ class TestServiceValidation:
             ("deadline_ms", 0.0),
             ("deadline_ms", -5.0),
             ("degrade_budget", -1),
-            ("parallel_threshold", 1),
             ("pool_pages", 0),
         ],
     )

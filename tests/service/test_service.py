@@ -2,9 +2,9 @@
 
 The acceptance criteria of the serving layer live here:
 
-* **Bit-identity** — non-degraded service answers (singleton, batched,
-  and sharded flushes alike) equal per-request ``nearest_iter`` answers
-  over an identically built index, bitwise.
+* **Bit-identity** — non-degraded service answers (singleton and
+  batched flushes alike) equal per-request ``nearest_iter`` answers over
+  an identically built index, bitwise.
 * **Determinism under a fake clock** — deadline degradation and
   backpressure are decided by injected time, not races: past-deadline
   requests come back flagged approximate, over-capacity submissions
@@ -66,16 +66,29 @@ def drain(service, tickets):
     return [t.result(timeout_s=0) for t in tickets]
 
 
+#: ``(kind, k, max_batch)`` per case.  ``max_batch=8`` spreads the
+#: queries over several flushes; ``max_batch=64`` answers every query in
+#: one large flush.
+BATCHED_CASES = [
+    pytest.param(kind, k, 8, id=f"{k}-{kind}")
+    for k in (1, 3)
+    for kind in ("mbrqt", "rstar")
+] + [pytest.param("mbrqt", 1, 64, id="one-flush-64")]
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("kind", ["mbrqt", "rstar"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_batched_equals_nearest_iter(self, target_points, query_points, kind, k):
+    @pytest.mark.parametrize(("kind", "k", "max_batch"), BATCHED_CASES)
+    def test_batched_equals_nearest_iter(
+        self, target_points, query_points, kind, k, max_batch
+    ):
         expected = reference_answers(target_points, query_points, k=k, kind=kind)
-        service = AnnService(target_points, service_config(kind=kind, max_batch=8))
-        tickets = [service.submit(q, k=k) for q in query_points]
+        cfg = service_config(kind=kind, max_batch=max_batch)
+        service = AnnService(target_points, cfg)
+        tickets = service.submit_many(query_points, k=k)
         answers = drain(service, tickets)
         service.close()
         assert service.counters.batched_flushes > 0
+        assert service.counters.batches == -(-len(query_points) // max_batch)
         for answer, (ids, dists) in zip(answers, expected):
             assert not answer.approximate
             assert answer.neighbor_ids == ids
@@ -90,35 +103,6 @@ class TestBitIdentity:
         assert service.counters.batched_flushes == 0
         for answer, (ids, dists) in zip(answers, expected):
             assert (answer.neighbor_ids, answer.distances) == (ids, dists)
-
-    def test_sharded_flush_equals_nearest_iter(self, target_points, query_points):
-        expected = reference_answers(target_points, query_points)
-        cfg = service_config(max_batch=64, workers=2, parallel_threshold=4)
-        service = AnnService(target_points, cfg)
-        tickets = service.submit_many(query_points)
-        answers = drain(service, tickets)
-        service.close()
-        assert service.counters.sharded_flushes > 0
-        for answer, (ids, dists) in zip(answers, expected):
-            assert (answer.neighbor_ids, answer.distances) == (ids, dists)
-
-    @pytest.mark.parametrize("kind", ["mbrqt", "rstar"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_frontier_flush_equals_nearest_iter(
-        self, target_points, query_points, kind, k
-    ):
-        """``frontier_flush`` swaps the flush engine, never the answers."""
-        expected = reference_answers(target_points, query_points, k=k, kind=kind)
-        cfg = service_config(kind=kind, max_batch=8, frontier_flush=True)
-        service = AnnService(target_points, cfg)
-        tickets = [service.submit(q, k=k) for q in query_points]
-        answers = drain(service, tickets)
-        service.close()
-        assert service.counters.batched_flushes > 0
-        for answer, (ids, dists) in zip(answers, expected):
-            assert not answer.approximate
-            assert answer.neighbor_ids == ids
-            assert answer.distances == dists  # bitwise: no tolerance
 
     def test_mixed_k_in_one_batch(self, target_points, query_points):
         ks = [1, 2, 3, 1, 4]

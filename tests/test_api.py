@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    JoinConfig,
     NeighborResult,
     PruningMetric,
     QueryStats,
@@ -33,20 +34,22 @@ class TestAllNearestNeighbors:
 
     def test_self_join_can_include_self(self, rng):
         pts = rng.random((50, 2))
-        result, __ = all_nearest_neighbors(pts, exclude_self=False)
+        result, __ = all_nearest_neighbors(pts, config=JoinConfig(exclude_self=False))
         assert all(d == 0.0 for __, __, d in result.pairs())
 
     @pytest.mark.parametrize("kind", ["mbrqt", "rstar"])
     def test_index_kinds(self, rng, kind):
         r = rng.random((150, 3))
         s = rng.random((150, 3))
-        result, __ = all_nearest_neighbors(r, s, kind=kind)
+        result, __ = all_nearest_neighbors(r, s, config=JoinConfig(kind=kind))
         assert result.same_pairs_as(brute_force_join(r, s))
 
     def test_metric_parameter(self, rng):
         r = rng.random((100, 2))
         s = rng.random((100, 2))
-        result, __ = all_nearest_neighbors(r, s, metric=PruningMetric.MAXMAXDIST)
+        result, __ = all_nearest_neighbors(
+            r, s, config=JoinConfig(metric=PruningMetric.MAXMAXDIST)
+        )
         assert result.same_pairs_as(brute_force_join(r, s))
 
     def test_custom_storage(self, rng):
@@ -60,8 +63,10 @@ class TestAllNearestNeighbors:
 class TestWorkersParameter:
     def test_parallel_matches_serial(self, rng):
         pts = rng.random((400, 2))
-        serial, __ = all_nearest_neighbors(pts, k=2)
-        parallel, stats = all_nearest_neighbors(pts, k=2, workers=3)
+        serial, __ = all_nearest_neighbors(pts, config=JoinConfig(k=2))
+        parallel, stats = all_nearest_neighbors(
+            pts, config=JoinConfig(k=2, workers=3)
+        )
         s_arrays, p_arrays = serial.to_arrays(), parallel.to_arrays()
         for s_arr, p_arr in zip(s_arrays, p_arrays):
             np.testing.assert_array_equal(s_arr, p_arr)
@@ -69,7 +74,7 @@ class TestWorkersParameter:
 
     def test_rejects_bad_workers(self, rng):
         with pytest.raises(ValueError, match="workers"):
-            all_nearest_neighbors(rng.random((20, 2)), workers=0)
+            all_nearest_neighbors(rng.random((20, 2)), config=JoinConfig(workers=0))
 
 
 class TestAknnJoin:
@@ -81,7 +86,7 @@ class TestAknnJoin:
     def test_explicit_k(self, rng):
         r = rng.random((80, 2))
         s = rng.random((90, 2))
-        result, __ = aknn_join(r, s, k=3)
+        result, __ = aknn_join(r, s, config=JoinConfig(k=3))
         assert result.same_pairs_as(brute_force_join(r, s, k=3))
 
 

@@ -1,5 +1,6 @@
-"""Tests for the JoinConfig front door: validation, the legacy keyword
-shim, and the trace-on/trace-off bit-identity contract of the public API."""
+"""Tests for the JoinConfig front door: validation, the rejected legacy
+keywords, and the trace-on/trace-off bit-identity contract of the public
+API."""
 
 import warnings
 
@@ -13,7 +14,6 @@ from repro import (
     all_nearest_neighbors,
     brute_force_join,
 )
-from repro.config import config_from_legacy_kwargs
 
 
 class TestJoinConfigValidation:
@@ -88,57 +88,19 @@ class TestJoinConfigValidation:
 
 
 class TestLegacyKwargShim:
-    def test_forwards_and_warns(self):
-        with pytest.warns(DeprecationWarning, match="JoinConfig"):
-            cfg = config_from_legacy_kwargs({"k": 4, "workers": 2})
-        assert cfg.k == 4 and cfg.workers == 2
-
-    def test_unknown_key_is_typeerror(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            config_from_legacy_kwargs({"neighbours": 3})
-
-    def test_api_legacy_kwargs_warn_but_work(self, rng):
-        pts = rng.random((120, 2))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result, __ = all_nearest_neighbors(pts, k=2)
-        assert result.same_pairs_as(brute_force_join(pts, pts, k=2, exclude_self=True))
-
-    def test_api_rejects_config_plus_legacy(self, rng):
-        pts = rng.random((30, 2))
-        with pytest.raises(TypeError, match="both"):
-            all_nearest_neighbors(pts, config=JoinConfig(), k=2)
+    """The pre-JoinConfig keyword spellings are gone: every knob rides
+    on ``config=``, and a stray keyword is a plain ``TypeError``."""
 
     def test_api_rejects_unknown_kwarg(self, rng):
+        pts = rng.random((30, 2))
         with pytest.raises(TypeError, match="unexpected keyword"):
-            all_nearest_neighbors(rng.random((30, 2)), neighbours=3)
+            all_nearest_neighbors(pts, k=2)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            all_nearest_neighbors(pts, neighbours=3)
 
-    def test_warning_points_at_the_callers_line(self, rng):
-        # The shim's stacklevel must blame the deprecated call site —
-        # this file — not repro.api or repro.config internals.
-        pts = rng.random((40, 2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            all_nearest_neighbors(pts, k=2)  # the line the warning must name
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_aknn_warning_points_at_the_callers_line(self, rng):
-        pts = rng.random((40, 2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            aknn_join(pts, k=2)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_direct_shim_call_blames_its_caller(self):
-        # External users of config_from_legacy_kwargs get the default
-        # stacklevel=2: the warning names whoever called the shim.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            config_from_legacy_kwargs({"k": 2})
-        assert caught[0].filename == __file__
+    def test_unknown_key_is_typeerror(self, rng):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            aknn_join(rng.random((30, 2)), k=2)
 
     def test_aknn_default_k_does_not_warn(self, rng):
         pts = rng.random((60, 2))
