@@ -16,10 +16,17 @@ but Python cannot enforce by itself:
   ``sqrt`` inside a comparison wastes the very cycles the paper counts.
 * Benchmarks must be replayable, so unseeded randomness is banned.
 
-This package is a small AST-walking lint framework that encodes those
-invariants as rules.  Run it with ``python -m repro.lint <paths>``; see
-:mod:`repro.analysis.engine` for the framework and
-:mod:`repro.analysis.rules` for the rule catalogue.
+* Shared state must stay under its lock, the traversal hot path must
+  stay pure, and the CLI, trace schema and counters must not drift apart
+  — invariants that span modules.
+
+This package encodes those invariants as per-file AST rules
+(:mod:`repro.analysis.rules`, on the :mod:`repro.analysis.engine`
+framework) and whole-program passes over a
+:class:`~repro.analysis.model.ProjectModel`
+(:mod:`repro.analysis.passes`).  One driver,
+:func:`repro.analysis.analyzer.analyze_project`, runs both with one
+suppression check; run it with ``python -m repro analyze [PATH ...]``.
 """
 
 from .engine import (

@@ -1,4 +1,4 @@
-"""Baseline file for the cross-module analyzer.
+"""Baseline file for ``repro analyze``: grandfathered findings of every rule.
 
 A baseline entry is a *grandfathered* finding: present when the gate was
 introduced, tracked until fixed.  The fingerprint is ``(rule, path,

@@ -1,4 +1,4 @@
-"""Rule engine for the domain lint: registry, suppressions, diagnostics.
+"""Rule engine for the per-file rules: registry, suppressions, diagnostics.
 
 The engine is deliberately small: one parse per file, one token scan for
 suppression comments, and a shared :class:`FileContext` so individual
@@ -17,11 +17,11 @@ sqrt-discipline]`` or ``disable=RACE-001,PURE-003``.  Suppressions are
 intentionally loud in the source — they are the reviewed, documented
 exceptions to the paper's invariants.
 
-Both the per-file lint rules and the cross-module analyzer
-(:mod:`repro.analysis.analyzer`) honour the same comments; the two rule
-namespaces do not overlap (lint rules are kebab-case, analyzer rules are
-``PREFIX-NNN``), so each tool reports *unused* suppressions only for the
-rules it owns (see :func:`unused_suppressions`).
+The per-file rules here and the whole-program passes share one
+suppression syntax and one catalogue; the driver
+(:mod:`repro.analysis.analyzer`) runs both over the same
+:class:`FileContext` and only then reports the comments that matched no
+finding (see :func:`unused_suppressions`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import enum
 import io
 import re
 import tokenize
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +42,8 @@ __all__ = [
     "Rule",
     "RuleRegistry",
     "default_registry",
+    "parse_source",
+    "check_file",
     "lint_source",
     "lint_paths",
     "unused_suppressions",
@@ -225,40 +227,19 @@ class FileContext:
         return Diagnostic(self.path, line, col, rule.name, message, severity)
 
 
-def unused_suppressions(
-    ctx: FileContext,
-    is_known: Callable[[str], bool] | None = None,
-    include_bare: bool = True,
-) -> list[Diagnostic]:
+def unused_suppressions(ctx: FileContext) -> list[Diagnostic]:
     """Flag suppression comments in ``ctx`` that matched no finding.
 
-    Run this *after* every rule has been checked against ``ctx``, so the
-    :attr:`FileContext.used_suppression_lines` bookkeeping is complete.
-    ``is_known`` restricts reporting to the rule names a given tool owns:
-    the lint engine passes its registry, the cross-module analyzer its
-    ``PREFIX-NNN`` catalogue, so neither flags the other's suppressions.
-    A comment naming rules from *both* namespaces is skipped by both —
-    split it into two comments instead.  Bare suppressions (no rule
-    list) are owned by the lint engine (``include_bare=True``); the
-    analyzer passes ``include_bare=False``.  Listing
-    ``unused-suppression`` itself in the comment silences this check
-    for that comment.
+    Run this *after* every rule and pass has been checked against
+    ``ctx``, so the :attr:`FileContext.used_suppression_lines`
+    bookkeeping is complete.  Listing ``unused-suppression`` itself in
+    the comment silences this check for that comment.
     """
     out: list[Diagnostic] = []
     for line, rules in sorted(ctx.suppressions.items()):
-        if line in ctx.used_suppression_lines:
+        if line in ctx.used_suppression_lines or UNUSED_SUPPRESSION_RULE in rules:
             continue
-        if UNUSED_SUPPRESSION_RULE in rules:
-            continue
-        if rules & _SUPPRESS_ALL:
-            if not include_bare:
-                continue
-            label = "bare suppression"
-        else:
-            named = rules - _SUPPRESS_ALL
-            if is_known is not None and not all(is_known(r) for r in named):
-                continue
-            label = ", ".join(sorted(named))
+        label = "bare suppression" if rules & _SUPPRESS_ALL else ", ".join(sorted(rules))
         out.append(
             Diagnostic(
                 ctx.path,
@@ -327,41 +308,49 @@ def default_registry() -> RuleRegistry:
     return _rules.build_registry()
 
 
+def parse_source(source: str, path: str | Path) -> FileContext | Diagnostic:
+    """Parse one file into a :class:`FileContext`, or a ``syntax-error``."""
+    posix_path = Path(path).as_posix()
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return Diagnostic(
+            posix_path,
+            exc.lineno or 1,
+            (exc.offset or 1) - 1,
+            "syntax-error",
+            f"cannot parse: {exc.msg}",
+        )
+    return FileContext(posix_path, source, tree)
+
+
+def check_file(ctx: FileContext, rules: Iterable[Rule]) -> list[Diagnostic]:
+    """Run ``rules`` that apply to ``ctx``; suppressed findings are dropped."""
+    return [
+        diag
+        for rule in rules
+        if rule.applies_to(ctx.path)
+        for diag in rule.check(ctx)
+        if not ctx.is_suppressed(diag.line, diag.rule)
+    ]
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     registry: RuleRegistry | None = None,
     select: Iterable[str] | None = None,
 ) -> list[Diagnostic]:
-    """Lint one source string; returns sorted, suppression-filtered findings."""
+    """Run the per-file rules over one source string; sorted findings.
+
+    A per-file run cannot tell a stale suppression from one naming a
+    whole-program rule, so it reports none; the driver does.
+    """
     registry = registry if registry is not None else default_registry()
-    posix_path = Path(path).as_posix()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Diagnostic(
-                posix_path,
-                exc.lineno or 1,
-                (exc.offset or 1) - 1,
-                "syntax-error",
-                f"cannot parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(posix_path, source, tree)
-    found: list[Diagnostic] = []
-    for rule in registry.select(select):
-        if not rule.applies_to(posix_path):
-            continue
-        for diag in rule.check(ctx):
-            if not ctx.is_suppressed(diag.line, diag.rule):
-                found.append(diag)
-    if select is None:
-        # Only with the full catalogue can "matched no finding" mean
-        # "stale" rather than "its rule was deselected this run".
-        found.extend(unused_suppressions(ctx, is_known=lambda r: r in registry.rules))
-    found.sort(key=lambda d: d.sort_key)
-    return found
+    parsed = parse_source(source, path)
+    if isinstance(parsed, Diagnostic):
+        return [parsed]
+    return sorted(check_file(parsed, registry.select(select)), key=lambda d: d.sort_key)
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:

@@ -1,12 +1,8 @@
-"""Shared diagnostic emitters: text, JSON, and SARIF 2.1.0.
+"""Diagnostic emitters for ``python -m repro analyze``: text, JSON, SARIF 2.1.0.
 
-Both front-ends — the per-file lint (``python -m repro.lint``) and the
-cross-module analyzer (``python -m repro analyze``) — produce the same
-:class:`~repro.analysis.engine.Diagnostic` records, so they share one
-set of serialisers.  The JSON shape is a small stable envelope for
-scripting; SARIF is the interchange format CI annotation services
-understand.  Neither emitter sorts or filters: callers pass the final
-diagnostic list.
+The JSON shape is a small stable envelope for scripting; SARIF is the
+interchange format CI annotation services understand.  Neither emitter
+sorts or filters: callers pass the final diagnostic list.
 """
 
 from __future__ import annotations
@@ -69,13 +65,13 @@ def render_sarif(
 ) -> str:
     """Minimal single-run SARIF 2.1.0 document.
 
-    Every rule id that appears in a result is declared in the driver's
-    ``rules`` array (SARIF requires the index to resolve), with the
-    one-line catalogue summary when the caller provides one.
+    The driver's ``rules`` array declares every catalogue rule the caller
+    passes plus every rule id that appears in a result (SARIF requires
+    the index to resolve), each with its one-line summary when known.
     """
-    rule_ids = sorted({d.rule for d in diagnostics})
-    rule_index = {rid: i for i, rid in enumerate(rule_ids)}
     summaries = rule_summaries or {}
+    rule_ids = sorted(set(summaries) | {d.rule for d in diagnostics})
+    rule_index = {rid: i for i, rid in enumerate(rule_ids)}
     rules = [
         {
             "id": rid,

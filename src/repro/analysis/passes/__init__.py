@@ -1,4 +1,4 @@
-"""Cross-module analyzer passes over a :class:`~repro.analysis.model.ProjectModel`.
+"""Whole-program passes over a :class:`~repro.analysis.model.ProjectModel`.
 
 Each pass module exports ``RULES`` (rule id -> one-line summary) and
 ``run(model) -> list[Diagnostic]``.  The driver in

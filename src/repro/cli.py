@@ -30,6 +30,9 @@ These commands cover the common workflows without writing any code:
   scratch-rebuilt index; writes ``BENCH_updates.json``.
 * ``trace-report`` — summarize a trace artifact as stage/layer
   attribution tables (service traces add a service-counter section).
+* ``analyze`` — static analysis: the per-file domain rules over the
+  package and any PATHs, the whole-program passes over the package,
+  gated on ``.repro-analysis-baseline.json``.
 
 Examples::
 
@@ -224,8 +227,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"{rule_id:<{width}}  {ANALYZER_RULES[rule_id]}")
         return 0
 
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
     root = Path(args.root) if args.root is not None else Path(__file__).resolve().parent
-    diagnostics = analyze_project(root, display_base=root.parent)
+    diagnostics = analyze_project(root, args.paths, display_base=root.parent)
     if args.write_baseline:
         save_baseline(args.baseline, diagnostics)
         n = len(diagnostics)
@@ -530,8 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="cross-module concurrency/purity/contract analysis of the package",
+        help="static analysis: per-file domain rules plus whole-program passes",
     )
+    p.add_argument("paths", nargs="*", metavar="PATH",
+                   help="more files or directories for the per-file rules "
+                        "(the package is always analyzed)")
     p.add_argument("--root", default=None, metavar="DIR",
                    help="package directory to analyze (default: the installed repro package)")
     p.add_argument("--format", choices=("text", "json", "sarif"), default="text",
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-baseline", action="store_true",
                    help="write the current findings to --baseline and exit 0")
     p.add_argument("--list-rules", action="store_true",
-                   help="print the analyzer rule catalogue and exit")
+                   help="print the rule catalogue and exit")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(

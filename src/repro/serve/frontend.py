@@ -40,10 +40,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-import numpy as np
-
 from ..service.queueing import Overloaded, ServiceClosed
-from ..service.request import Answer, Request
+from ..service.request import Answer, Request, check_query
 from ..obs.tracer import TraceSession
 from .cluster import ReplicaCluster
 from .replica import ReplicaHandle
@@ -195,6 +193,7 @@ class Frontend:
         self, point: Any, k: int, client: str, deadline_s: float | None
     ) -> tuple[_Lane, _Ticket]:
         """The whole shed-or-admit decision; raises before any queueing."""
+        point, k = check_query(point, k, self.cluster.engine.dims)
         self.counters.submitted += 1
         if self._draining:
             # Not yet admitted, so no request id exists to carry.
@@ -449,10 +448,9 @@ class Frontend:
             if "id" in msg:
                 reply["id"] = msg["id"]
             if op == "query":
-                point = np.asarray(msg["point"], dtype=np.float64)
                 answer = await self.submit(
-                    point,
-                    int(msg.get("k", 1)),
+                    msg["point"],
+                    msg.get("k", 1),
                     client=client,
                     deadline_s=msg.get("deadline_s"),
                 )

@@ -11,10 +11,29 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-__all__ = ["Request", "Answer", "PendingRequest"]
+__all__ = ["Request", "Answer", "PendingRequest", "check_query"]
+
+
+def check_query(point: Any, k: Any, dims: int) -> tuple[np.ndarray, int]:
+    """Validate one query before admission; returns ``(point, k)``.
+
+    The point must have shape ``(dims,)`` with every coordinate finite,
+    and ``k`` must be an integer ``>= 1``.  Raises ``ValueError``
+    otherwise, so a malformed query is refused at the door instead of
+    failing (or answering NaN) inside a batched flush.
+    """
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != (dims,):
+        raise ValueError(f"query point must have shape ({dims},), got {point.shape}")
+    if not np.isfinite(point).all():
+        raise ValueError(f"query point must be finite, got {point.tolist()}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
+    return point, int(k)
 
 
 @dataclass(frozen=True)

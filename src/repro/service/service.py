@@ -44,7 +44,7 @@ from .clock import Clock, SystemClock
 from .config import ServiceConfig
 from .engine import BatchEngine
 from .queueing import MicroBatchQueue, Overloaded, ServiceClosed
-from .request import Answer, PendingRequest, Request
+from .request import Answer, PendingRequest, Request, check_query
 
 __all__ = ["AnnService", "ServiceCounters", "BatchReport"]
 
@@ -151,13 +151,7 @@ class AnnService:
         ``RuntimeError`` after :meth:`close`.  ``deadline_ms`` overrides
         the config default for this request (``None`` disables it).
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.engine.dims,):
-            raise ValueError(
-                f"query point must have shape ({self.engine.dims},), got {point.shape}"
-            )
+        point, k = check_query(point, k, self.engine.dims)
         effective_ms = self.config.deadline_ms if deadline_ms is _UNSET else deadline_ms
         if effective_ms is not None and effective_ms <= 0:
             raise ValueError(f"deadline_ms must be positive (or None), got {effective_ms}")

@@ -6,6 +6,7 @@ rules they deliberately violate never fire on this test file itself.
 
 import textwrap
 
+from repro.analysis.analyzer import analyze_project
 from repro.analysis.engine import (
     Diagnostic,
     Rule,
@@ -19,6 +20,14 @@ from repro.analysis.engine import (
 
 def _lint(code: str, **kwargs) -> list[Diagnostic]:
     return lint_source(textwrap.dedent(code), path="fixture.py", **kwargs)
+
+
+def _analyze(code: str, tmp_path) -> list[Diagnostic]:
+    """The whole driver (rules, passes, unused suppressions) on one module."""
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "fixture.py").write_text(textwrap.dedent(code))
+    return analyze_project(root, display_base=tmp_path)
 
 
 UNSEEDED = """
@@ -63,14 +72,15 @@ class TestSuppressions:
         # default-arg finding is gone but the call two lines down survives.
         assert [d.rule for d in findings] == ["nondeterminism"]
 
-    def test_wrong_rule_name_does_not_suppress(self):
+    def test_wrong_rule_name_does_not_suppress(self, tmp_path):
         code = """
             import numpy as np
             x = np.random.random(10)  # repro-lint: ignore[bare-except]
         """
         # The finding survives, and the pointless suppression is itself
         # flagged as stale.
-        assert [d.rule for d in _lint(code)] == ["unused-suppression", "nondeterminism"]
+        findings = _analyze(code, tmp_path)
+        assert [d.rule for d in findings] == ["unused-suppression", "nondeterminism"]
 
     def test_suppression_inside_string_is_inert(self):
         code = '''
@@ -108,42 +118,43 @@ class TestSuppressions:
 
 
 class TestUnusedSuppressions:
-    def test_stale_suppression_is_flagged(self):
+    def test_stale_suppression_is_flagged(self, tmp_path):
         code = """
             x = 1  # repro-lint: ignore[nondeterminism]
         """
-        findings = _lint(code)
+        findings = _analyze(code, tmp_path)
         assert [d.rule for d in findings] == ["unused-suppression"]
         assert "nondeterminism" in findings[0].message
 
-    def test_stale_bare_suppression_is_flagged(self):
+    def test_stale_bare_suppression_is_flagged(self, tmp_path):
         code = """
             x = 1  # repro-lint: ignore
         """
-        findings = _lint(code)
+        findings = _analyze(code, tmp_path)
         assert [d.rule for d in findings] == ["unused-suppression"]
         assert "bare" in findings[0].message
 
-    def test_used_suppression_is_not_flagged(self):
+    def test_used_suppression_is_not_flagged(self, tmp_path):
         code = """
             import numpy as np
             x = np.random.random(10)  # repro-lint: ignore[nondeterminism]
         """
-        assert _lint(code) == []
+        assert _analyze(code, tmp_path) == []
 
     def test_unknown_rule_name_left_for_other_tool(self):
-        # PREFIX-NNN ids belong to the cross-module analyzer; the lint
-        # engine neither honours nor polices them.
+        # A per-file run cannot know whether a whole-program pass would
+        # have used RACE-001, so lint_source polices no suppression;
+        # the driver does (TestUnusedSuppressions' other tests).
         code = """
             x = 1  # repro-lint: disable=RACE-001
         """
         assert _lint(code) == []
 
-    def test_self_silencing(self):
+    def test_self_silencing(self, tmp_path):
         code = """
             x = 1  # repro-lint: ignore[nondeterminism, unused-suppression]
         """
-        assert _lint(code) == []
+        assert _analyze(code, tmp_path) == []
 
     def test_not_reported_under_select(self):
         code = """

@@ -1,29 +1,28 @@
-"""The repository must satisfy its own lint and analyzer — the CI gate.
+"""The repository must pass its own static analysis — the CI gate.
 
-Running the domain rules over ``src``, ``tests``, ``benchmarks`` and
-``examples`` — and the cross-module analyzer over ``src/repro`` against
-the checked-in baseline — in-process (rather than shelling out) keeps
-both checks in the ordinary pytest run, so a violation fails fast with
-the diagnostic text in the assertion message.
+One driver run covers the per-file rules over ``src``, ``tests``,
+``benchmarks`` and ``examples`` and the whole-program passes over
+``src/repro``, against the checked-in baseline.  Running it in-process
+(rather than shelling out) keeps the check in the ordinary pytest run,
+so a violation fails fast with the diagnostic text in the assertion
+message.
 """
 
 from pathlib import Path
 
 from repro.analysis.analyzer import analyze_project
 from repro.analysis.baseline import diff_against_baseline, load_baseline
-from repro.analysis.engine import lint_paths
 
 _REPO = Path(__file__).resolve().parents[2]
 
 
-def test_repo_lints_clean():
-    targets = [_REPO / d for d in ("src", "tests", "benchmarks", "examples")]
-    findings = lint_paths([t for t in targets if t.exists()])
-    assert findings == [], "\n" + "\n".join(d.format() for d in findings)
-
-
 def test_repo_analyzes_clean_against_baseline():
-    diagnostics = analyze_project(_REPO / "src" / "repro", display_base=_REPO / "src")
+    paths = [_REPO / d for d in ("src", "tests", "benchmarks", "examples")]
+    diagnostics = analyze_project(
+        _REPO / "src" / "repro",
+        [p for p in paths if p.exists()],
+        display_base=_REPO / "src",
+    )
     baseline = load_baseline(_REPO / ".repro-analysis-baseline.json")
     new, stale = diff_against_baseline(diagnostics, baseline)
     assert new == [], "\n" + "\n".join(d.format() for d in new)

@@ -365,3 +365,39 @@ class TestSocketServer:
         assert reply["approximate"] is False
         assert stats["service"]["answered"] == 1.0
         assert "error" in unknown
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"point": [1.0, 2.0, 3.0]},
+            {"point": [float("nan"), 0.0]},
+            {"point": [0.0, 0.0], "k": 0},
+        ],
+        ids=["wrong-dims", "nan", "k0"],
+    )
+    def test_malformed_query_is_refused_without_killing_replicas(
+        self, points, tmp_path, bad
+    ):
+        import json
+
+        config = serve_config(replicas=2)
+
+        async def go():
+            with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
+                frontend = Frontend(cluster)
+                await frontend.start()
+                host, port = await frontend.serve()
+                reader, writer = await asyncio.open_connection(host, port)
+                good = {"op": "query", "point": [float(x) for x in points[0]], "k": 1}
+                for msg in ({"op": "query", **bad}, good):
+                    writer.write(json.dumps(msg).encode() + b"\n")
+                    await writer.drain()
+                replies = [json.loads(await reader.readline()) for _ in range(2)]
+                writer.close()
+                await frontend.drain()
+                return replies, frontend.counters
+
+        (refused, answered), counters = run(go())
+        assert refused["error"].startswith("bad request: ")
+        assert counters.replica_deaths == 0
+        assert answered["distances"] == [0.0]

@@ -321,6 +321,8 @@ class TestLifecycle:
             service.submit(query_points[0], k=0)
         with pytest.raises(ValueError, match="shape"):
             service.submit(np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            service.submit(np.array([np.nan, 0.0]))
         service.close()
 
     def test_empty_target_rejected(self):
