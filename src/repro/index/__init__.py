@@ -11,7 +11,6 @@ from .base import (
 )
 from .delta import DeltaIndex, DeltaView, merge_answer
 from .mbrqt import build_mbrqt
-from .mutable import MutableMBRQT, MutableRStar, mutable_index
 from .queries import nearest_iter, radius_query, range_query
 from .rstar import RStarTreeBuilder, build_rstar
 
@@ -26,9 +25,6 @@ __all__ = [
     "build_mbrqt",
     "build_rstar",
     "RStarTreeBuilder",
-    "MutableMBRQT",
-    "MutableRStar",
-    "mutable_index",
     "DeltaIndex",
     "DeltaView",
     "merge_answer",

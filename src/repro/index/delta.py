@@ -60,6 +60,25 @@ class DeltaView:
     def is_empty(self) -> bool:
         return not self.inserts and not self.tombstones
 
+    def fold(self, ids: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply this view to a base's columns: the compaction survivors.
+
+        Returns ``(ids, points)`` holding the base rows minus the
+        tombstoned ids, plus the inserts, sorted by id.  A re-inserted
+        id is both tombstoned and inserted, so it appears once, at its
+        new location.
+        """
+        dead = np.fromiter(self.tombstones, dtype=np.int64, count=self.n_tombstones)
+        keep = ~np.isin(ids, dead)
+        new_ids = np.fromiter(
+            (pid for __, pid, __2 in self.inserts), dtype=np.int64, count=self.n_inserts
+        )
+        new_points = np.asarray([pt for __, __2, pt in self.inserts], dtype=np.float64)
+        ids = np.concatenate([ids[keep], new_ids])
+        points = np.concatenate([points[keep], new_points.reshape(-1, points.shape[1])])
+        order = np.argsort(ids, kind="stable")
+        return ids[order], points[order]
+
 
 EMPTY_DELTA = DeltaView(inserts=(), tombstones=frozenset(), last_seq=-1)
 """The canonical no-pending-updates view (shared; it is immutable)."""
@@ -71,13 +90,17 @@ class DeltaIndex:
     Not thread-safe on its own — the owning engine serialises access
     under its update lock.  Semantics:
 
-    * ``insert`` of an id that has a pending tombstone *resurrects* it:
-      the tombstone is dropped and the insert recorded (the new point
-      wins over whatever the base held).
+    * ``insert`` of an id that has a pending tombstone *re-inserts* it:
+      the tombstone stays (it masks the base's old copy, which may sit
+      elsewhere) and the insert is recorded beside it.
     * ``delete`` of an id with a pending insert drops that insert; a
       tombstone is recorded **unconditionally** because the id may also
       exist in the base index (the delta cannot know), and a spurious
       tombstone for an id the base never held masks nothing.
+
+    Every operation carries a sequence number; a tombstone keeps the
+    number of its newest delete, so :meth:`prune_through` can tell the
+    operations a compaction consumed from the ones issued after it.
     """
 
     def __init__(self, dims: int) -> None:
@@ -85,7 +108,7 @@ class DeltaIndex:
             raise ValueError(f"dims must be >= 1, got {dims}")
         self.dims = dims
         self._inserts: dict[int, tuple[int, np.ndarray]] = {}
-        self._tombstones: set[int] = set()
+        self._tombstones: dict[int, int] = {}
         self._next_seq = 0
 
     @property
@@ -106,13 +129,12 @@ class DeltaIndex:
             raise ValueError(f"point must have shape ({self.dims},), got {point.shape}")
         if point_id in self._inserts:
             raise ValueError(f"point_id {point_id} already pending insertion")
-        self._tombstones.discard(point_id)
         self._inserts[point_id] = (self._next_seq, point.copy())
         self._next_seq += 1
 
     def delete(self, point_id: int) -> None:
         self._inserts.pop(point_id, None)
-        self._tombstones.add(point_id)
+        self._tombstones[point_id] = self._next_seq
         self._next_seq += 1
 
     def freeze(self) -> DeltaView:
@@ -132,24 +154,17 @@ class DeltaIndex:
     def prune_through(self, view: DeltaView) -> None:
         """Drop every operation a compaction consumed via ``view``.
 
-        Inserts recorded in the view are removed *unless superseded* (the
-        id was re-inserted after the freeze, visible as a newer seq);
-        tombstones are dropped only when no newer delete re-added them —
-        a delete issued after the freeze targets the *new* base, which
-        still contains the point, so its tombstone must survive.
+        An operation is consumed when its sequence number is at most
+        ``view.last_seq``.  A newer insert of the same id survives, and
+        so does a newer delete: it targets the *new* base, which holds
+        the point, so its tombstone must keep masking.
         """
-        for seq, pid, __ in view.inserts:
-            current = self._inserts.get(pid)
-            if current is not None and current[0] == seq:
-                del self._inserts[pid]
-        # A tombstone has no per-op seq of its own in the live set, so a
-        # post-freeze delete of the same id is indistinguishable here; the
-        # engine therefore prunes tombstones itself only for ids it knows
-        # the rebuild excluded.  We drop the frozen ones not re-deleted
-        # since: conservatively, ids still pending an insert keep masking.
-        for pid in view.tombstones:
-            if pid not in self._inserts:
-                self._tombstones.discard(pid)
+        self._inserts = {
+            pid: entry for pid, entry in self._inserts.items() if entry[0] > view.last_seq
+        }
+        self._tombstones = {
+            pid: seq for pid, seq in self._tombstones.items() if seq > view.last_seq
+        }
 
 
 def merge_answer(

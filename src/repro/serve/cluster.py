@@ -4,8 +4,8 @@
 :class:`~repro.service.service.AnnService`'s engine layer.  It owns
 
 * the **write path** — one :class:`~repro.service.engine.BatchEngine`
-  whose mutable mirror and delta absorb inserts/deletes exactly as the
-  single-process service does;
+  whose delta absorbs inserts/deletes and whose compactions bulk-build
+  each new epoch, exactly as the single-process service does;
 * the **epoch fence** — every publish is exported as a zero-copy
   artifact directory (:func:`repro.storage.mapped.write_epoch`) under
   ``workdir`` and broadcast to the replicas as a ``swap``, so the fleet

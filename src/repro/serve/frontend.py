@@ -415,6 +415,9 @@ class Frontend:
           ``{"ids": [...], "distances": [...], "approximate": false}``
         * ``{"op": "stats"}`` → the front-end counters
         * shed/closed → ``{"error": "overloaded" | "closed"}``
+        * a line past the stream limit → ``{"error": "bad request: line
+          too long"}``, then the connection closes: the rest of that line
+          is still in flight, so the stream cannot be resynchronised.
 
         Every reply echoes the request's ``"id"`` field when present.
         """
@@ -429,7 +432,12 @@ class Frontend:
         client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the reader's limit
+                    writer.write(b'{"error": "bad request: line too long"}\n')
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 reply = await self._handle_line(line, client)

@@ -1,7 +1,7 @@
 """Micro-batch execution core: one flush, one batched MBA traversal.
 
 :class:`BatchEngine` owns the *target* side of the service.  The dataset
-is indexed at startup and published as **epoch 0** of a refcounted
+is bulk-built at startup and published as **epoch 0** of a refcounted
 version chain (:class:`~repro.storage.versioning.VersionManager`); every
 flush pins one epoch, runs start-to-finish against that epoch's
 read-only snapshot — the same discipline :mod:`repro.parallel` uses for
@@ -9,22 +9,31 @@ worker processes — and releases it, so a long-lived service can never
 mutate the store it queries and every flush accounts exactly for its
 own I/O.
 
-The **write path** layers on top without touching any published page:
+The **write path** layers on top without touching any tree:
 
-* :meth:`insert` / :meth:`delete` update a mutable mirror of the full
-  dataset (:class:`~repro.index.mutable.MutableMBRQT` or
-  :class:`~repro.index.mutable.MutableRStar` — the canonical write-side
-  structure) *and* record the operation in an LSM-style
-  :class:`~repro.index.delta.DeltaIndex`;
+* the engine keeps the current base epoch's points as two columns
+  (``ids`` and ``points``, sorted by id) plus a live-id set for the
+  duplicate-insert and absent-delete checks;
+* :meth:`insert` / :meth:`delete` update the live-id set and record the
+  operation in an LSM-style :class:`~repro.index.delta.DeltaIndex`;
 * queries over-fetch the pinned base epoch by the tombstone count and
   merge the frozen delta view into every answer
   (:func:`~repro.index.delta.merge_answer`) — updates are visible
   immediately, exactly, without any base-index mutation;
-* :meth:`compact` persists the mutable mirror as a fresh epoch
-  (copy-on-write: its own builder manager, snapshot and read-only
-  reopen), publishes it, and prunes the folded delta operations.
-  In-flight flushes finish on their pinned epoch; the swap is a pointer
-  move with zero rejected or lost requests.
+* :meth:`compact` folds the delta into the base columns and bulk-builds
+  them (:func:`~repro.index.mbrqt.build_mbrqt`, or an STR-loaded
+  R*-tree) into a fresh epoch with its own builder manager, publishes
+  it, and prunes the folded delta operations.  MBRQT is a regular
+  decomposition, so every epoch's pages are a pure function of its
+  survivors, whatever the write history.
+
+One lock, ``_lock``, serialises all of it: writes, compaction, and the
+pin of ``(epoch, delta view)`` that opens every flush.  Compaction holds
+it for the whole rebuild, so a flush that starts during a compaction
+waits for the new epoch; flushes already past their pin finish on the
+old one.  Building off the lock was measured and lost: the pure-Python
+build then competes with the flush thread for the GIL and runs longer,
+and writes wait through all of it (EXPERIMENTS.md).
 
 Per flush, the engine packs the coalesced query points into a tiny
 query-side MBRQT (built in a scratch manager, so its build/read I/O is
@@ -61,7 +70,6 @@ from ..core.stats import QueryStats
 from ..index.base import PagedIndex
 from ..index.delta import DeltaIndex, DeltaView, merge_answer
 from ..index.mbrqt import build_mbrqt
-from ..index.mutable import MutableMBRQT, MutableRStar
 from ..index.queries import nearest_iter
 from ..index.rstar import build_rstar
 from ..obs.tracer import Tracer
@@ -119,41 +127,38 @@ class BatchEngine:
             point_ids = np.asarray(point_ids, dtype=np.int64)
             if point_ids.shape != (len(points),):
                 raise ValueError("point_ids must match points in cardinality")
-        # The write path: a mutable mirror of the full current dataset
-        # (what compaction persists) plus the pending-operation delta
-        # (what queries merge).  Both live behind _lock.
-        self._lock = threading.Lock()  # guards _writer / delta / publishes
-        # guarded-by: _lock
-        self._writer: MutableMBRQT | MutableRStar = self._new_writer(points)
-        for pid, point in zip(point_ids, points):
-            self._writer.insert(point, int(pid))
-        self.delta = DeltaIndex(self.dims)
-        # Epoch 0: persist the initial dataset and publish it.  The
+        # Base columns are kept sorted by id, so an epoch's pages depend
+        # on its survivors alone, not on the order they arrived in.
+        order = np.argsort(point_ids, kind="stable")
+        point_ids, points = point_ids[order], points[order]
+        self._lock = threading.Lock()
+        self._base_ids = point_ids  # guarded-by: _lock
+        self._base_points = points  # guarded-by: _lock
+        self._live = set(point_ids.tolist())  # guarded-by: _lock
+        if len(self._live) != len(point_ids):
+            raise ValueError("point_ids must be unique")
+        self.delta = DeltaIndex(self.dims)  # guarded-by: _lock
+        # Epoch 0: bulk-build the initial dataset and publish it.  The
         # serving path only ever sees read-only reopens, so no request
         # can write a published page.
-        self.versions = VersionManager(self._build_version(0))
+        self.versions = VersionManager(self._build_version(0, point_ids, points))
 
-    def _new_writer(self, points: np.ndarray) -> MutableMBRQT | MutableRStar:
-        if self.config.kind == "mbrqt":
-            return MutableMBRQT(
-                Rect.from_points(points), page_size=self.config.page_size
-            )
-        return MutableRStar(self.dims, page_size=self.config.page_size)
-
-    def _build_version(self, epoch: int) -> IndexVersion:
-        """Persist the mutable mirror as one immutable epoch (COW).
+    def _build_version(self, epoch: int, ids: np.ndarray, points: np.ndarray) -> IndexVersion:
+        """Bulk-build ``(ids, points)`` as one immutable epoch (COW).
 
         Each epoch gets a *fresh* builder manager — no page of a
         published epoch is ever rewritten — then the snapshot is
-        reopened read-only with the serving budgets, exactly like the
-        startup build always did.
+        reopened read-only with the serving budgets.
         """
         builder = StorageManager(
             page_size=self.config.page_size,
             pool_pages=self.config.pool_pages,
             node_cache_entries=self.config.node_cache_entries,
         )
-        index = self._writer.persist(builder)
+        if self.config.kind == "mbrqt":
+            index = build_mbrqt(points, builder, point_ids=ids)
+        else:
+            index = build_rstar(points, builder, point_ids=ids, method="str")
         spec = index.detach()
         snapshot = builder.snapshot()
         manager = StorageManager.reopen(
@@ -212,64 +217,46 @@ class BatchEngine:
             return self.delta.n_ops
 
     def insert(self, point: np.ndarray, point_id: int) -> None:
-        """Insert one point: mutable mirror + delta, visible immediately."""
+        """Insert one point into the delta, visible immediately."""
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.dims,):
             raise ValueError(
                 f"point must have shape ({self.dims},), got {point.shape}"
             )
+        point_id = int(point_id)
         with self._lock:
-            if point_id in self._writer:
+            if point_id in self._live:
                 raise ValueError(f"point_id {point_id} already present")
-            self._widen_writer(point)
-            self._writer.insert(point, point_id)
+            self._live.add(point_id)
             self.delta.insert(point, point_id)
 
     def delete(self, point_id: int) -> bool:
         """Delete by id; ``False`` when the id is not present."""
+        point_id = int(point_id)
         with self._lock:
-            if not self._writer.delete(point_id):
+            if point_id not in self._live:
                 return False
+            self._live.remove(point_id)
             self.delta.delete(point_id)
             return True
-
-    def _widen_writer(self, point: np.ndarray) -> None:
-        """Grow the MBRQT universe to admit an out-of-bounds insert.
-
-        The regular decomposition's root cell is fixed per tree, so a
-        point outside it forces a rebuild under the widened universe —
-        rare (the universe only ever grows) and linear in the mirror
-        size.  Insertion-sequence order is preserved, so the canonical
-        tree shape stays a pure function of the surviving points.
-        """
-        writer = self._writer
-        if not isinstance(writer, MutableMBRQT) or writer.universe.contains_point(point):
-            return
-        ids, pts = writer.points()
-        fresh = MutableMBRQT(
-            writer.universe.union_point(point),
-            bucket_capacity=writer.bucket_capacity,
-            node_capacity=writer.node_capacity,
-            merge_buckets=writer.merge_buckets,
-        )
-        for pid, pt in zip(ids, pts):
-            fresh.insert(pt, int(pid))
-        self._writer = fresh
 
     def compact(self) -> int | None:
         """Fold the pending delta into a freshly built, published epoch.
 
         Returns the new epoch number, or ``None`` when the delta was
-        empty (no epoch published).  Runs under the update lock — writes
-        block for the rebuild, queries do not: in-flight flushes keep
-        their pinned epoch, later flushes pin the new one.
+        empty (no epoch published).  Freezes the delta, folds it into
+        the base columns, bulk-builds the survivors and publishes them,
+        all under ``_lock``: writes and new flush pins wait for the
+        rebuild, while flushes already pinned finish on the old epoch.
         """
         with self._lock:
             if self.delta.n_ops == 0:
                 return None
             view = self.delta.freeze()
-            version = self._build_version(self.versions.epoch + 1)
+            ids, points = view.fold(self._base_ids, self._base_points)
+            version = self._build_version(self.versions.epoch + 1, ids, points)
             self.versions.publish(version)
+            self._base_ids, self._base_points = ids, points
             self.delta.prune_through(view)
             return version.epoch
 

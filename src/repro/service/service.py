@@ -309,12 +309,11 @@ class AnnService:
     def insert(self, point: np.ndarray, point_id: int) -> None:
         """Insert one point into the served dataset, visible immediately.
 
-        The point lands in the engine's delta index (and mutable mirror);
-        queries from the very next flush include it.  Once
-        ``compact_threshold`` operations are pending, the delta is folded
-        into a freshly built base index published as a new epoch — a
-        zero-downtime hot swap (in-flight flushes finish on their pinned
-        epoch).
+        The point lands in the engine's delta index; queries from the
+        very next flush include it.  Once ``compact_threshold``
+        operations are pending, the delta is folded into a freshly built
+        base index published as a new epoch — a zero-downtime hot swap
+        (in-flight flushes finish on their pinned epoch).
         """
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.engine.dims,):

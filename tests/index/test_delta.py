@@ -47,7 +47,7 @@ class TestDeltaIndexSemantics:
         delta.delete(7)
         delta.insert(np.ones(2), 7)
         view = delta.freeze()
-        assert view.tombstones == frozenset()
+        assert view.tombstones == {7}
         assert [pid for __, pid, __2 in view.inserts] == [7]
 
     def test_freeze_is_immutable_snapshot(self):

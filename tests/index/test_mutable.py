@@ -1,16 +1,22 @@
-"""The write path's golden-replay guarantee.
+"""The mutable dataset: every epoch is a bulk build of its survivors.
 
-The canonical-shape property of :class:`~repro.index.mutable.MutableMBRQT`
-— any interleaving of inserts and deletes leaves the tree a bulk
-``build_mbrqt`` over the surviving points would build — is asserted at
-the strongest level available: the **persisted page images are
-bit-identical**.  R*-trees are insertion-order dependent by design, so
-:class:`~repro.index.mutable.MutableRStar` is held to answer
-equivalence (same neighbours, same distances) against a scratch
-rebuild instead, plus the classic structural invariants.
+The service never updates a tree in place.  Writes land in the delta;
+each compaction folds the delta into the base epoch's ``(ids, points)``
+columns and bulk-builds the survivors, sorted by id.  Hypothesis
+replays write histories against a :class:`BatchEngine`: inserts,
+deletes, delete-then-reinsert of the same id at a new location, inserts
+outside the current bounding box, duplicate inserts, absent deletes and
+compactions.  For both index kinds:
+
+* every MBRQT epoch persists pages byte-identical to ``build_mbrqt``
+  over the survivors sorted by id — a regular decomposition is a pure
+  function of the points it holds, whatever the write history;
+* every answer, before and after each compaction, equals brute force
+  over the live set (R*-tree shape depends on the build, so the R*
+  kind is held to answers only);
+* a duplicate insert raises and an absent delete returns ``False``,
+  without touching the served data.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -18,203 +24,226 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Rect
-from repro.index import (
-    MutableMBRQT,
-    MutableRStar,
-    build_mbrqt,
-    build_rstar,
-    mutable_index,
-    nearest_iter,
-    range_query,
-)
+from repro.index import build_mbrqt, range_query
+from repro.service import BatchEngine, ServiceConfig
+from repro.service.request import Request
 from repro.storage.manager import StorageManager
 
-UNIT = Rect(np.zeros(2), np.ones(2))
-PAGE = 512
+PAGE = 256  # 10 points per leaf, 5 entries per internal node at D=2
+K = 3
+N_BASE = 40
+
+coords = st.floats(0, 1, allow_nan=False, width=32)
 
 _replay = settings(
-    max_examples=25,
+    max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 
 @st.composite
-def op_sequences(draw, max_ops=70):
-    """Arbitrary interleavings of inserts (fresh ids) and deletes."""
-    n_ops = draw(st.integers(4, max_ops))
-    ops = []
-    live: list[int] = []
-    next_id = 0
-    for __ in range(n_ops):
-        delete = live and draw(st.integers(0, 3)) == 0
-        if delete:
-            at = draw(st.integers(0, len(live) - 1))
-            ops.append(("delete", live.pop(at), None))
-        else:
-            point = (
-                draw(st.floats(0, 1, allow_nan=False, width=32)),
-                draw(st.floats(0, 1, allow_nan=False, width=32)),
-            )
-            ops.append(("insert", next_id, np.asarray(point, dtype=np.float64)))
-            live.append(next_id)
-            next_id += 1
-    return ops
-
-
-def apply_ops(index, ops):
-    for op, point_id, point in ops:
-        if op == "insert":
-            index.insert(point, point_id)
-        else:
-            assert index.delete(point_id)
-
-
-def survivors(ops):
-    """(ids, points) surviving the op stream, in insertion-seq order."""
-    alive: dict[int, np.ndarray] = {}
-    for op, point_id, point in ops:
-        if op == "insert":
-            alive[point_id] = point
-        else:
-            del alive[point_id]
-    ids = np.asarray(list(alive), dtype=np.int64)
-    pts = (
-        np.stack(list(alive.values())) if alive else np.empty((0, 2))
+def histories(draw):
+    base = np.asarray(
+        draw(st.lists(st.tuples(coords, coords), min_size=N_BASE, max_size=N_BASE)),
+        dtype=np.float64,
     )
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), coords, coords),
+                st.tuples(st.just("outside"), st.floats(1.01, 4.0), st.floats(-3.0, -0.01)),
+                st.tuples(st.just("delete"), st.integers(0, 10**6)),
+                st.tuples(st.just("reinsert"), st.integers(0, 10**6), coords, coords),
+                st.tuples(st.just("duplicate"), st.integers(0, 10**6)),
+                st.tuples(st.just("absent"), st.integers(0, 10**6)),
+                st.tuples(st.just("compact")),
+            ),
+            min_size=5,
+            max_size=40,
+        )
+    )
+    return base, ops
+
+
+def _brute(alive, probe, k):
+    ids = np.fromiter(alive, dtype=np.int64, count=len(alive))
+    pts = np.stack(list(alive.values()))
+    dists = np.sqrt(((pts - probe) ** 2).sum(axis=1))
+    return sorted(zip(dists.tolist(), ids.tolist()))[:k]
+
+
+def _check_answers(engine, alive, probes):
+    """A batched flush and a singleton flush both match brute force."""
+    if not alive:
+        return
+    requests = [
+        Request(request_id=i, point=p, k=K, submitted_s=0.0, deadline_s=None)
+        for i, p in enumerate(probes)
+    ]
+    batched = engine.execute(requests, now_s=0.0).answers
+    single = engine.execute(requests[:1], now_s=0.0).answers
+    answers = [(r, batched[r.request_id]) for r in requests]
+    answers.append((requests[0], single[0]))
+    for request, (ids, dists, approximate) in answers:
+        want = _brute(alive, request.point, K)
+        assert not approximate
+        assert list(dists) == [d for d, __ in want]
+        # Ids are determined only below the k-th distance: points tied
+        # exactly at the cutoff may surface in either order.
+        cutoff = want[-1][0]
+        assert sorted(i for d, i in zip(dists, ids) if d < cutoff) == sorted(
+            i for d, i in want if d < cutoff
+        )
+
+
+def _survivors(alive):
+    ids = np.asarray(sorted(alive), dtype=np.int64)
+    pts = np.stack([alive[i] for i in ids.tolist()]) if alive else np.empty((0, 2))
     return ids, pts
 
 
+def _check_pages(engine, alive):
+    ids, pts = _survivors(alive)
+    reference = StorageManager(page_size=PAGE)
+    build_mbrqt(pts, reference, point_ids=ids)
+    assert engine.snapshot.pages == reference.snapshot().pages
+
+
+def _replay_history(kind, history, on_epoch):
+    """Drive ``history`` through an engine, checking every answer and
+    error; ``on_epoch(engine, alive)`` runs on epoch 0 and after every
+    compaction."""
+    base, ops = history
+    engine = BatchEngine(base, ServiceConfig(kind=kind, page_size=PAGE, cold_flush=False))
+    alive = {i: p for i, p in enumerate(base)}
+    dead: set[int] = set()
+    next_id = N_BASE
+    probes = [base[0], np.array([0.5, 0.5]), np.array([2.0, -1.0])]
+    on_epoch(engine, alive)
+    for op in ops:
+        live = sorted(alive)
+        if op[0] in ("insert", "outside"):
+            point = np.array(op[1:], dtype=np.float64)
+            engine.insert(point, next_id)
+            alive[next_id] = point
+            probes.append(point)
+            next_id += 1
+        elif op[0] == "delete" and live:
+            victim = live[op[1] % len(live)]
+            assert engine.delete(victim)
+            probes.append(alive.pop(victim))
+            dead.add(victim)
+        elif op[0] == "reinsert" and live:
+            # Same id, new location, before any compaction folds it.
+            pid = live[op[1] % len(live)]
+            assert engine.delete(pid)
+            probes.append(alive[pid])
+            alive[pid] = np.array(op[2:], dtype=np.float64)
+            engine.insert(alive[pid], pid)
+        elif op[0] == "duplicate" and live:
+            pending = engine.pending_ops
+            with pytest.raises(ValueError, match="already present"):
+                engine.insert(np.array([0.5, 0.5]), live[op[1] % len(live)])
+            assert engine.pending_ops == pending
+        elif op[0] == "absent":
+            pending = engine.pending_ops
+            candidates = sorted(dead) + [next_id + op[1]]
+            assert not engine.delete(candidates[op[1] % len(candidates)])
+            assert engine.pending_ops == pending
+        elif op[0] == "compact":
+            pending = engine.pending_ops
+            _check_answers(engine, alive, probes[-6:])
+            epoch = engine.epoch
+            assert engine.compact() == (epoch + 1 if pending else None)
+            assert engine.pending_ops == 0
+            assert engine.size == len(alive)
+            on_epoch(engine, alive)
+            _check_answers(engine, alive, probes[-6:])
+    _check_answers(engine, alive, probes[-6:])
+
+
 class TestMBRQTGoldenReplay:
-    @given(op_sequences())
+    @given(histories())
     @_replay
-    def test_pages_bit_identical_to_scratch_rebuild(self, ops):
-        # The whole point of regular decomposition: tree shape is a
-        # function of the point set, so incremental maintenance and a
-        # bulk rebuild must persist the *same pages*.
-        mutable = MutableMBRQT(UNIT, bucket_capacity=3, node_capacity=4)
-        apply_ops(mutable, ops)
-        ids, pts = survivors(ops)
-        assert len(mutable) == len(ids)
+    def test_pages_bit_identical_to_scratch_rebuild(self, history):
+        _replay_history("mbrqt", history, _check_pages)
 
-        inc_storage = StorageManager(page_size=PAGE)
-        incremental = mutable.persist(inc_storage)
-        ref_storage = StorageManager(page_size=PAGE)
-        reference = build_mbrqt(
-            pts,
-            ref_storage,
-            point_ids=ids,
-            universe=UNIT,
-            bucket_capacity=3,
-            node_capacity=4,
-        )
-        assert incremental.size == reference.size == len(ids)
-        assert inc_storage.snapshot().pages == ref_storage.snapshot().pages
-
-    @given(op_sequences())
+    @given(histories())
     @_replay
-    def test_mbr_is_exact_after_every_interleaving(self, ops):
-        mutable = MutableMBRQT(UNIT, bucket_capacity=3)
-        apply_ops(mutable, ops)
-        __, pts = survivors(ops)
-        if len(pts) == 0:
-            assert mutable.mbr is None
-        else:
-            assert mutable.mbr == Rect.from_points(pts)
+    def test_mbr_is_exact_after_every_interleaving(self, history):
+        # The decomposition's universe is the survivors' bounding box,
+        # so it follows inserts outside it and shrinks after deletes.
+        def check_root(engine, alive):
+            __, pts = _survivors(alive)
+            if len(pts):
+                assert engine.index.root_rect == Rect.from_points(pts)
+
+        _replay_history("mbrqt", history, check_root)
 
 
 class TestRStarGoldenReplay:
-    @given(op_sequences())
+    @given(histories())
     @_replay
-    def test_answers_match_scratch_rebuild(self, ops):
-        mutable = MutableRStar(2, leaf_cap=4, internal_cap=4)
-        apply_ops(mutable, ops)
-        ids, pts = survivors(ops)
-        assert len(mutable) == len(ids)
+    def test_answers_match_scratch_rebuild(self, history):
+        _replay_history("rstar", history, lambda engine, alive: None)
 
-        incremental = mutable.persist(StorageManager(page_size=PAGE))
-        reference = build_rstar(
-            pts, StorageManager(page_size=PAGE), point_ids=ids
-        )
-        assert incremental.size == reference.size == len(ids)
-        # Same point multiset...
-        got_ids, got_pts = range_query(incremental, UNIT)
-        want_ids, want_pts = range_query(reference, UNIT)
-        assert sorted(got_ids.tolist()) == sorted(want_ids.tolist())
-        # ...and identical ordered browse streams (distances bitwise).
-        # Ids are only determined below the cutoff distance: when several
-        # points tie exactly at the 10th distance, either tree may surface
-        # any of the tied ids in its prefix, so the comparison stops at
-        # the tie boundary.
-        probe = np.array([0.5, 0.5])
-        got = sorted(
-            (d, i) for d, i, __ in itertools.islice(nearest_iter(incremental, probe), 10)
-        )
-        want = sorted(
-            (d, i) for d, i, __ in itertools.islice(nearest_iter(reference, probe), 10)
-        )
-        assert [d for d, __ in got] == [d for d, __ in want]
-        if got:
-            cutoff = got[-1][0]
-            assert sorted(i for d, i in got if d < cutoff) == sorted(
-                i for d, i in want if d < cutoff
-            )
+
+def _line_engine(kind, n=12):
+    points = np.column_stack([np.linspace(0.1, 0.9, n), np.full(n, 0.5)])
+    return BatchEngine(points, ServiceConfig(kind=kind, page_size=PAGE))
+
+
+UNIT = Rect(np.zeros(2), np.ones(2))
+KINDS = ("mbrqt", "rstar")
 
 
 class TestMutableSurface:
     def test_duplicate_insert_raises(self):
-        m = MutableMBRQT(UNIT)
-        m.insert(np.array([0.5, 0.5]), 7)
-        with pytest.raises(ValueError, match="already present"):
-            m.insert(np.array([0.25, 0.25]), 7)
-        r = MutableRStar(2)
-        r.insert(np.array([0.5, 0.5]), 7)
-        with pytest.raises(ValueError, match="already present"):
-            r.insert(np.array([0.25, 0.25]), 7)
+        for kind in KINDS:
+            engine = _line_engine(kind)
+            with pytest.raises(ValueError, match="already present"):
+                engine.insert(np.array([0.25, 0.25]), 3)  # a base id
+            engine.insert(np.array([0.5, 0.5]), 77)
+            with pytest.raises(ValueError, match="already present"):
+                engine.insert(np.array([0.25, 0.25]), 77)  # a pending insert
+            engine.compact()
+            with pytest.raises(ValueError, match="already present"):
+                engine.insert(np.array([0.25, 0.25]), 77)  # folded into the base
+            with pytest.raises(ValueError, match="unique"):
+                BatchEngine(np.zeros((2, 2)), ServiceConfig(kind=kind), np.array([4, 4]))
 
     def test_delete_missing_returns_false(self):
-        m = MutableMBRQT(UNIT)
-        assert not m.delete(99)
-        r = MutableRStar(2)
-        assert not r.delete(99)
-
-    def test_out_of_universe_insert_raises(self):
-        m = MutableMBRQT(UNIT)
-        with pytest.raises(ValueError, match="universe"):
-            m.insert(np.array([2.0, 0.5]), 1)
+        for kind in KINDS:
+            engine = _line_engine(kind)
+            assert not engine.delete(99)
+            assert engine.delete(3)
+            assert not engine.delete(3)
+            engine.compact()
+            assert not engine.delete(3)
+            assert engine.pending_ops == 0
 
     def test_delete_then_reinsert_same_id(self):
-        m = MutableMBRQT(UNIT, bucket_capacity=2)
-        for i in range(6):
-            m.insert(np.array([0.1 * (i + 1), 0.5]), i)
-        assert m.delete(3)
-        m.insert(np.array([0.9, 0.9]), 3)
-        assert 3 in m and len(m) == 6
+        for kind in KINDS:
+            engine = _line_engine(kind)
+            assert engine.delete(3)
+            engine.insert(np.array([0.9, 0.9]), 3)
+            assert engine.delta.freeze().tombstones == {3}
+            engine.compact()
+            assert engine.size == 12
+            ids, pts = range_query(engine.index, UNIT)
+            assert sorted(ids.tolist()) == list(range(12))
+            assert pts[ids.tolist().index(3)].tolist() == [0.9, 0.9]
 
     def test_empty_persist_supports_queries(self):
-        m = MutableMBRQT(UNIT)
-        m.insert(np.array([0.5, 0.5]), 0)
-        assert m.delete(0)
-        index = m.persist(StorageManager(page_size=PAGE))
-        assert index.size == 0
-        assert list(nearest_iter(index, np.array([0.5, 0.5]))) == []
-        ids, pts = range_query(index, UNIT)
-        assert len(ids) == 0 and pts.shape == (0, 2)
-
-    def test_factory(self):
-        assert isinstance(mutable_index("mbrqt", 2, universe=UNIT), MutableMBRQT)
-        assert isinstance(mutable_index("rstar", 3), MutableRStar)
-        with pytest.raises(ValueError, match="universe"):
-            mutable_index("mbrqt", 2)
-        with pytest.raises(ValueError, match="unknown index kind"):
-            mutable_index("kdtree", 2)
-
-    def test_points_in_insertion_seq_order(self):
-        m = MutableRStar(2)
-        m.insert(np.array([0.1, 0.1]), 5)
-        m.insert(np.array([0.2, 0.2]), 3)
-        m.insert(np.array([0.3, 0.3]), 9)
-        assert m.delete(3)
-        m.insert(np.array([0.4, 0.4]), 3)
-        ids, __ = m.points()
-        assert ids.tolist() == [5, 9, 3]
+        for kind in KINDS:
+            engine = _line_engine(kind)
+            for pid in range(12):
+                assert engine.delete(pid)
+            assert engine.compact() == 1
+            assert engine.size == 0
+            ids, pts = range_query(engine.index, UNIT)
+            assert len(ids) == 0 and pts.shape == (0, 2)
+            request = Request(request_id=0, point=np.array([0.5, 0.5]), k=2,
+                              submitted_s=0.0, deadline_s=None)
+            assert engine.execute([request], now_s=0.0).answers[0] == ((), (), False)

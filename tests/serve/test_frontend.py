@@ -401,3 +401,36 @@ class TestSocketServer:
         assert refused["error"].startswith("bad request: ")
         assert counters.replica_deaths == 0
         assert answered["distances"] == [0.0]
+
+    def test_oversized_line_is_refused_without_killing_replicas(self, points, tmp_path):
+        import json
+
+        config = serve_config(replicas=2)
+        # About 100 KB, past StreamReader's 64 KiB line limit.
+        oversized = b'{"op": "query", "point": [' + b"0.0, " * 20_000 + b"0.0]}\n"
+        good = {"op": "query", "point": [float(x) for x in points[0]], "k": 1}
+
+        async def go():
+            with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
+                frontend = Frontend(cluster)
+                await frontend.start()
+                host, port = await frontend.serve()
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(oversized)
+                await writer.drain()
+                refused = json.loads(await reader.readline())
+                rest = await reader.read()  # the server closed this connection
+                writer.close()
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(json.dumps(good).encode() + b"\n")
+                await writer.drain()
+                answered = json.loads(await reader.readline())
+                writer.close()
+                await frontend.drain()
+                return refused, rest, answered, frontend.counters
+
+        refused, rest, answered, counters = run(go())
+        assert refused == {"error": "bad request: line too long"}
+        assert rest == b""
+        assert counters.replica_deaths == 0
+        assert answered["distances"] == [0.0]

@@ -159,6 +159,29 @@ class TestCompaction:
         service.close()
         assert answer.neighbor_ids == (500,)
 
+    @pytest.mark.parametrize("kind", ["mbrqt", "rstar"])
+    def test_delete_then_reinsert_serves_the_new_location(self, target_points, kind):
+        # Id 7 moves to (5, 5), outside the base's bounding box.  Before
+        # and after compaction, no answer may carry its stale base copy.
+        service = fresh_service(target_points, kind=kind)
+        old, new = target_points[7], np.array([5.0, 5.0])
+        assert service.delete(7)
+        service.insert(new, 7)
+        alive = {i: p for i, p in enumerate(target_points) if i != 7}
+        alive[7] = new
+        ids = np.array(list(alive))
+        pts = np.stack(list(alive.values()))
+        for compacted in (False, True):
+            if compacted:
+                assert service.compact() == 1
+                assert service.engine.size == N_TARGET
+            for probe in (old, new):
+                want_ids, want_dists = reference_answers(pts, [probe], k=3, kind=kind)[0]
+                answer = service.query(probe, k=3)
+                assert answer.neighbor_ids == tuple(int(ids[i]) for i in want_ids)
+                assert answer.distances == want_dists
+        service.close()
+
     def test_inflight_reads_pin_their_epoch(self, target_points):
         # A compaction between submit and flush must not disturb the
         # version registry: the flush pins whatever is current at flush
