@@ -30,8 +30,9 @@ Two further sections ride in the same artifact:
   capacity — includes the queueing the closed loop structurally hides.
 * ``multiprocess`` — the same closed-loop stream replayed against a
   :class:`~repro.serve.cluster.ReplicaCluster` of 1, 2, 4, … mapped-
-  epoch replicas (satellite of the ``repro.serve`` subsystem).  Batches
-  are routed least-loaded; each replica's flush costs its own counted
+  epoch replicas (satellite of the ``repro.serve`` subsystem).  Each
+  batch goes to the replica free first, as an idle flush worker takes
+  the next batch; each replica's flush costs its own counted
   I/O against a fair ``pool_pages / N`` slice, and replicas overlap in
   modeled time, so the sweep shows what process scale-out buys with the
   cache-memory budget held fixed.  Every answer is compared
@@ -88,7 +89,6 @@ import bisect
 import json
 import math
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -430,18 +430,6 @@ def run_service_bench(
     return doc
 
 
-def _stats_from_counters(counters: dict[str, float]) -> QueryStats:
-    """Rebuild a :class:`QueryStats` from its ``as_dict`` flattening."""
-    names = {f.name for f in fields(QueryStats) if f.name != "extra"}
-    stats = QueryStats()
-    for key, value in counters.items():
-        if key in names:
-            setattr(stats, key, value)
-        else:
-            stats.extra[key] = value
-    return stats
-
-
 def _single_process_answers(
     points: np.ndarray, cfg: ServiceConfig, queries: np.ndarray, k: int
 ) -> dict[int, tuple[tuple[int, ...], tuple[float, ...]]]:
@@ -469,7 +457,7 @@ def _run_replica_closed_loop(
 
     ``clients`` callers each keep one request in flight; batches of up
     to ``max_batch`` queued requests go to the earliest-free replica
-    (least-loaded routing on the modeled clock) and each batch's
+    (an idle flush worker, on the modeled clock) and each batch's
     modeled duration comes from the replica's *own* returned counters —
     so replicas overlap in modeled time exactly as processes overlap on
     a real machine, while every page miss stays counted.  Returns
@@ -511,7 +499,7 @@ def _run_replica_closed_loop(
         ]
         got, info = replicas[rid].query(flushes, requests, t_start)
         flushes += 1
-        stats = _stats_from_counters(info["stats"])
+        stats = QueryStats.from_dict(info["stats"])
         totals.merge(stats)
         t_done = t_start + modeled_cpu_seconds(stats, dims) + stats.io_time_s
         free_at[rid] = t_done
@@ -583,9 +571,7 @@ def run_multiprocess_bench(
     baseline: dict[str, object] | None = None
     with tempfile.TemporaryDirectory() if workdir is None else _keep(workdir) as tmp:
         for n_replicas in processes:
-            cfg = ServeConfig(
-                replicas=n_replicas, max_batch=max_batch, service=service_cfg
-            )
+            cfg = ServeConfig(replicas=n_replicas, service=service_cfg)
             cluster = ReplicaCluster(
                 points, cfg, Path(tmp) / f"replicas-{n_replicas}", inline=True
             )

@@ -212,9 +212,9 @@ def run_update_bench(
                 clock.now() - t.request.submitted_s for t in tickets
             )
         counters = service.counters
-        if counters.rejected or counters.cancelled:
+        if counters.shed_overload or counters.cancelled:
             raise AssertionError(
-                f"lost requests under churn ({kind}): rejected={counters.rejected} "
+                f"lost requests under churn ({kind}): shed={counters.shed_overload} "
                 f"cancelled={counters.cancelled}"
             )
         if counters.answered != counters.submitted:

@@ -18,9 +18,9 @@ These commands cover the common workflows without writing any code:
   cross metrics, end-to-end ``mba_join``) and write ``BENCH_core.json``.
 * ``serve`` — run the online micro-batching ANN query service
   (:mod:`repro.service`) over a generated dataset; ``--once`` does a
-  single self-query round trip (the CI smoke).  ``--replicas N`` serves
-  from N mapped-epoch replica processes behind the asyncio front-end
-  (:mod:`repro.serve`) instead — the multi-process CI smoke.
+  single self-query round trip (the CI smoke).  ``--replicas N`` flushes
+  on N mapped-epoch replica processes (:mod:`repro.serve`) instead of
+  the in-process engine — the multi-process CI smoke.
 * ``service-bench`` — closed-loop micro-batching sweep (throughput and
   latency quantiles vs. coalescing window) writing ``BENCH_service.json``
   with an open-loop Poisson-arrival section; ``--processes 1 2 4`` adds
@@ -294,96 +294,20 @@ def _cmd_parallel_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_cluster(args: argparse.Namespace, points: np.ndarray) -> int:
-    """``serve --replicas N``: the multi-process topology (repro.serve).
-
-    Spawns N mapped-epoch replica processes behind the asyncio
-    front-end, pushes the probe queries through least-loaded routing,
-    and (with ``--once``) asserts the self-query round trip — the CI
-    multi-process smoke.
-    """
-    import asyncio
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: push self-queries through the one serving pipeline,
+    flushing in process or (``--replicas N > 1``) on a
+    :class:`ReplicaCluster` of spawned replica processes."""
     import tempfile
 
-    from .serve import Frontend, ReplicaCluster, ServeConfig
-    from .service import ServiceConfig
-
-    try:
-        cfg = ServeConfig(
-            replicas=args.replicas,
-            cache_slots=args.cache_slots,
-            max_batch=args.max_batch,
-            deadline_ms=args.deadline_ms,
-            trace=args.trace,
-            service=ServiceConfig(
-                max_batch=args.max_batch,
-                max_delay_ms=args.max_delay_ms,
-                queue_capacity=args.queue_capacity,
-                cold_flush=False,
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-    n_requests = 1 if args.once else args.requests
-    if n_requests < 1:
-        raise SystemExit(f"--requests must be >= 1, got {n_requests}")
-    rng = np.random.default_rng(args.seed + 1)
-    queries = points[rng.integers(0, len(points), size=n_requests)]
-
-    async def run() -> tuple[list, dict]:
-        frontend = Frontend(cluster)
-        await frontend.start()
-        try:
-            answers = list(
-                await asyncio.gather(
-                    *(frontend.submit(q, k=args.k, client="cli") for q in queries)
-                )
-            )
-        finally:
-            sections = await frontend.drain()
-        return answers, sections
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = ReplicaCluster(points, cfg, tmp)
-        try:
-            answers, sections = asyncio.run(run())
-        finally:
-            cluster.close()
-
-    service = sections["service"]
-    exact = sum(1 for a in answers if not a.approximate)
-    print(f"serve — {args.dataset} (n={args.n:,}, D={points.shape[1]}), "
-          f"{n_requests} self-quer{'y' if n_requests == 1 else 'ies'}, "
-          f"k={args.k}, {args.replicas} replica processes")
-    print(f"  answered         : {int(service['answered'])} ({exact} exact, "
-          f"{len(answers) - exact} degraded)")
-    print(f"  batches          : {int(service['batches'])} across "
-          f"{len(sections['replica'])} replicas")
-    print(f"  shed             : quota {int(service['shed_quota'])}, "
-          f"overload {int(service['shed_overload'])}, "
-          f"deadline {int(service['shed_deadline'])}")
-    if args.once:
-        answer = answers[0]
-        print(f"  self-query answer: ids={list(answer.neighbor_ids)} "
-              f"dists={[f'{d:.6f}' for d in answer.distances]}")
-        if answer.distances and answer.distances[0] == 0.0:
-            print("  round-trip       : OK (nearest neighbour is the query point)")
-        else:
-            raise SystemExit("self-query round trip failed: expected distance 0.0")
-    if args.trace is not None:
-        print(f"  trace            : wrote {args.trace}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve import ReplicaCluster, ServeConfig
     from .service import AnnService, ServiceConfig
 
     points = _make_dataset(args.dataset, args.n, args.dims, args.seed)
     if args.replicas < 1:
         raise SystemExit(f"--replicas must be >= 1, got {args.replicas}")
-    if args.replicas > 1:
-        return _cmd_serve_cluster(args, points)
-    if args.cache_slots:
+    cluster = args.replicas > 1
+    if args.cache_slots and not cluster:
         raise SystemExit("--cache-slots is the shared cross-process cache; "
                          "it requires --replicas >= 2")
     try:
@@ -392,8 +316,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_delay_ms=args.max_delay_ms,
             queue_capacity=args.queue_capacity,
             deadline_ms=args.deadline_ms,
-            trace=args.trace,
+            cold_flush=not cluster,
+            trace=None if cluster else args.trace,
         )
+        serve_cfg = ServeConfig(
+            replicas=args.replicas, cache_slots=args.cache_slots,
+            trace=args.trace, service=cfg,
+        ) if cluster else None
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     n_requests = 1 if args.once else args.requests
@@ -402,20 +331,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed + 1)
     queries = points[rng.integers(0, len(points), size=n_requests)]
 
-    service = AnnService(points, cfg)
-    with service.serving():
-        tickets = [service.submit(q, k=args.k) for q in queries]
-        answers = [t.result(timeout_s=60.0) for t in tickets]
+    with tempfile.TemporaryDirectory() as epochs:
+        service = (
+            AnnService(points, cfg)
+            if serve_cfg is None
+            else ReplicaCluster(points, serve_cfg, epochs)
+        )
+        with service.serving():
+            tickets = [service.submit(q, k=args.k, client="cli") for q in queries]
+            answers = [t.result(timeout_s=60.0) for t in tickets]
+    counters = service.counters
     exact = sum(1 for a in answers if not a.approximate)
+    topology = f", {args.replicas} replica processes" if cluster else ""
     print(f"serve — {args.dataset} (n={args.n:,}, D={points.shape[1]}), "
-          f"{n_requests} self-quer{'y' if n_requests == 1 else 'ies'}, k={args.k}")
+          f"{n_requests} self-quer{'y' if n_requests == 1 else 'ies'}, "
+          f"k={args.k}{topology}")
     print(f"  answered         : {len(answers)} ({exact} exact, "
           f"{len(answers) - exact} degraded)")
-    print(f"  batches          : {service.counters.batches} "
-          f"(singleton {service.counters.singleton_flushes}, "
-          f"batched {service.counters.batched_flushes})")
-    print(f"  max queue length : {service.counters.max_queue_len} "
+    print(f"  batches          : {counters.batches} "
+          f"(singleton {counters.singleton_flushes}, "
+          f"batched {counters.batched_flushes})")
+    print(f"  max queue length : {counters.max_queue_len} "
           f"(capacity {cfg.queue_capacity})")
+    print(f"  shed             : quota {counters.shed_quota}, "
+          f"overload {counters.shed_overload}, deadline {counters.shed_deadline}")
     if args.once:
         answer = answers[0]
         print(f"  self-query answer: ids={list(answer.neighbor_ids)} "
@@ -598,9 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-capacity", type=int, default=1024)
     p.add_argument("--deadline-ms", type=float, default=None)
     p.add_argument("--replicas", type=int, default=1,
-                   help="serve from N mapped-epoch replica processes behind "
-                        "the asyncio front-end (repro.serve) instead of the "
-                        "single-process service")
+                   help="flush on N mapped-epoch replica processes "
+                        "(repro.serve) instead of the in-process engine")
     p.add_argument("--cache-slots", type=int, default=0,
                    help="shared cross-process decoded-node cache slots "
                         "(requires --replicas >= 2; 0 disables)")

@@ -108,6 +108,19 @@ class QueryStats:
         out.update(self.extra)
         return out
 
+    @classmethod
+    def from_dict(cls, counters: Mapping[str, float]) -> "QueryStats":
+        """Rebuild a record from its :meth:`as_dict` flattening (unknown
+        keys land in ``extra``)."""
+        names = {f.name for f in fields(cls) if f.name != "extra"}
+        stats = cls()
+        for key, value in counters.items():
+            if key in names:
+                setattr(stats, key, value)
+            else:
+                stats.extra[key] = value
+        return stats
+
     @property
     def total_time_s(self) -> float:
         """CPU time plus simulated I/O time — the paper's stacked-bar height."""

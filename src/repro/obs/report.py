@@ -191,13 +191,16 @@ def _service_section(doc: dict[str, Any]) -> list[str]:
     rows = [[name, _fmt_num(value)] for name, value in sorted(service.items())]
     lines += _table(headers, rows)
     submitted = service.get("submitted", 0.0)
-    rejected = service.get("rejected", 0.0)
-    degraded = service.get("degraded", 0.0)
     if submitted > 0:
-        lines.append(
-            f"(rejected {100.0 * rejected / (submitted + rejected):.1f}% at admission, "
-            f"degraded {100.0 * degraded / submitted:.1f}% of admitted)"
+        shed = ", ".join(
+            f"{rule} {100.0 * service.get(f'shed_{rule}', 0.0) / submitted:.1f}%"
+            for rule in ("quota", "overload", "deadline")
         )
+        degraded = service.get("degraded", 0.0)
+        admitted = service.get("admitted", 0.0)
+        lines.append(f"(shed at admission, share of submitted: {shed})")
+        if admitted > 0:
+            lines.append(f"(degraded {100.0 * degraded / admitted:.1f}% of admitted)")
     return lines
 
 

@@ -1,24 +1,17 @@
-"""The serving cluster: writer engine, epoch artifacts, replica fleet.
+"""The serving cluster: an :class:`AnnService` whose flush workers are replicas.
 
-:class:`ReplicaCluster` is the process-topology counterpart of
-:class:`~repro.service.service.AnnService`'s engine layer.  It owns
-
-* the **write path** — one :class:`~repro.service.engine.BatchEngine`
-  whose delta absorbs inserts/deletes and whose compactions bulk-build
-  each new epoch, exactly as the single-process service does;
-* the **epoch fence** — every publish is exported as a zero-copy
-  artifact directory (:func:`repro.storage.mapped.write_epoch`) under
-  ``workdir`` and broadcast to the replicas as a ``swap``, so the fleet
-  hot-swaps on :class:`~repro.storage.versioning.VersionManager`
-  publishes without restarting;
-* the **shared cache** — one
-  :class:`~repro.serve.shared_cache.SharedNodeCache` segment created
-  before the first spawn (so the lock inherits cleanly) and handed to
-  every replica;
-* the **replica fleet** — N :class:`~repro.serve.replica.ReplicaHandle`
-  workers, each with a fair slice of the pool/node-cache budget (same
-  partition discipline as the :mod:`repro.parallel` executor: scale-out
-  must not quietly multiply cache memory).
+:class:`ReplicaCluster` is the one serving pipeline of
+:class:`~repro.service.service.AnnService` — same admission, same
+:class:`~repro.service.queueing.MicroBatchQueue`, same counters and
+trace writer, same write path — with one flush worker per replica
+process instead of the in-process engine.  On top of the service it
+owns the replica fleet (each replica with a fair slice of the
+pool/node-cache budget, as in :mod:`repro.parallel`, so scale-out never
+quietly multiplies cache memory), the shared decoded-node cache segment
+(created before the first spawn so its lock inherits cleanly), and the
+epoch fence: :meth:`ReplicaCluster.compact` exports every publish as a
+zero-copy artifact directory under ``workdir`` and broadcasts a
+``swap`` to the fleet.
 
 Consistency note: replicas answer from the last *published* epoch; the
 pending delta is the writer's alone.  That is the standard
@@ -35,7 +28,10 @@ from typing import Any
 
 import numpy as np
 
-from ..service.engine import BatchEngine
+from ..core.stats import QueryStats
+from ..service.engine import FlushOutcome
+from ..service.request import Request
+from ..service.service import AnnService, WorkerLost
 from ..storage.manager import worker_node_cache_entries, worker_pool_pages
 from ..storage.mapped import write_epoch
 from .config import ServeConfig
@@ -44,8 +40,10 @@ from .shared_cache import SharedNodeCache
 
 __all__ = ["ReplicaCluster"]
 
+_PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 
-class ReplicaCluster:
+
+class ReplicaCluster(AnnService):
     """A writer engine plus N mapped-epoch replicas over one workdir."""
 
     def __init__(
@@ -56,11 +54,12 @@ class ReplicaCluster:
         point_ids: np.ndarray | None = None,
         inline: bool = False,
     ) -> None:
-        self.config = config
+        super().__init__(
+            points, config.service.replace(trace=config.trace), point_ids=point_ids
+        )
+        self.serve_config = config
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.inline = inline
-        self.engine = BatchEngine(points, config.service, point_ids)
         self.cache: SharedNodeCache | None = None
         if config.cache_slots > 0:
             self.cache = SharedNodeCache.create(
@@ -84,17 +83,14 @@ class ReplicaCluster:
             handle = ReplicaHandle(spec, inline=inline)
             handle.start()
             self.replicas.append(handle)
+        # Batch ids per replica; each is touched by its own worker only.
+        self._sent = [0] * len(self.replicas)
 
     # -- epochs ---------------------------------------------------------------
 
     @property
     def epoch(self) -> int:
         return self.engine.epoch
-
-    @property
-    def epoch_dir(self) -> Path:
-        """The artifact directory of the currently published epoch."""
-        return self._epoch_dir
 
     def _export_epoch(self) -> Path:
         version = self.engine.versions.current
@@ -107,32 +103,6 @@ class ReplicaCluster:
             size=version.size,
         )
 
-    # -- the write path -------------------------------------------------------
-
-    def insert(self, point: np.ndarray, point_id: int) -> None:
-        """Insert into the writer; visible to replicas after ``compact``.
-
-        Like :meth:`~repro.service.service.AnnService.insert`, once
-        ``compact_threshold`` operations are pending the delta is folded
-        and published automatically — here that also swaps the fleet.
-        """
-        self.engine.insert(point, point_id)
-        self._maybe_compact()
-
-    def delete(self, point_id: int) -> bool:
-        deleted = self.engine.delete(point_id)
-        if deleted:
-            self._maybe_compact()
-        return deleted
-
-    def _maybe_compact(self) -> None:
-        if self.engine.pending_ops >= self.config.service.compact_threshold:
-            self.compact()
-
-    @property
-    def pending_ops(self) -> int:
-        return self.engine.pending_ops
-
     def compact(self) -> int | None:
         """Publish the pending delta as a new epoch and swap the fleet.
 
@@ -141,7 +111,7 @@ class ReplicaCluster:
         replica finishes its in-flight batch on the old mapping, then
         maps the new artifact — zero downtime, bounded staleness.
         """
-        new_epoch = self.engine.compact()
+        new_epoch = super().compact()
         if new_epoch is None:
             return None
         self._epoch_dir = self._export_epoch()
@@ -150,28 +120,65 @@ class ReplicaCluster:
                 replica.swap(str(self._epoch_dir))
         return new_epoch
 
+    # -- flush workers --------------------------------------------------------
+
+    def _worker_count(self) -> int:
+        """Flush workers: one per replica."""
+        return len(self.replicas)
+
+    def _execute(self, worker: int, requests: list[Request], now_s: float) -> FlushOutcome:
+        """Answer one batch on replica ``worker`` over its pipe."""
+        self._sent[worker] += 1
+        try:
+            answers, info = self.replicas[worker].query(self._sent[worker], requests, now_s)
+        except _PIPE_ERRORS as exc:
+            raise WorkerLost(f"replica {worker} died") from exc
+        return FlushOutcome(
+            answers=answers,
+            stats=QueryStats.from_dict(info["stats"]),
+            mode=info["mode"],
+            n_exact=info["n_exact"],
+            n_degraded=info["n_degraded"],
+            epoch=info["epoch"],
+        )
+
     # -- fleet ----------------------------------------------------------------
 
     def stats(self) -> list[dict[str, Any]]:
         """Per-replica counter snapshots (skips dead replicas)."""
         out = []
         for replica in self.replicas:
-            if replica.alive and replica.conn is not None:
-                out.append(replica.stats())
+            try:
+                if replica.alive and replica.conn is not None:
+                    out.append(replica.stats())
+            except _PIPE_ERRORS:
+                pass  # died since the liveness check
         return out
 
-    def close(self) -> None:
-        """Stop the fleet, then tear down the shared segment (owner)."""
+    def _trace_sections(self) -> dict[str, Any]:
+        """The service section plus per-replica counters, flattened."""
+        section = {f"replica-{r.replica_id}": {"dead": 1.0} for r in self.replicas}
+        for stats in self.stats():
+            flat = {f"io.{key}": float(value) for key, value in stats.pop("io").items()}
+            rid = stats.pop("replica_id")
+            flat.update((key, float(value)) for key, value in stats.items())
+            section[f"replica-{rid}"] = {"dead": 0.0, **flat}
+        return {**super()._trace_sections(), "replica": section}
+
+    def _trace_meta(self) -> dict[str, Any]:
+        topology = self.serve_config.describe()
+        del topology["service"]  # the service's knobs are already there
+        meta = {**super()._trace_meta(), **topology}
+        return {**meta, "api": "ReplicaCluster", "component": "repro.serve"}
+
+    def close(self) -> dict[str, Any]:
+        """Close the pipeline, then stop the fleet and free the cache segment."""
+        sections = super().close()
         for replica in self.replicas:
             try:
                 replica.stop()
-            except (BrokenPipeError, EOFError, OSError):
+            except _PIPE_ERRORS:
                 replica.join()
         if self.cache is not None:
             self.cache.close()
-
-    def __enter__(self) -> "ReplicaCluster":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        return sections

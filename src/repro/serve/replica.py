@@ -11,7 +11,7 @@ testing alone.
 
 The wire protocol is a strict request/reply alternation over one
 ``multiprocessing.Pipe`` (every command earns exactly one reply, so the
-front-end's dispatcher can pipeline without framing):
+replica's flush worker needs no framing):
 
 ==============================  =========================================
 command                         reply
@@ -33,8 +33,8 @@ mid-flush.
 
 Spawn discipline: replica processes always start from an explicit
 ``multiprocessing.get_context("spawn")`` — never the platform default —
-because the cluster parent runs an asyncio event loop with threads, and
-forking a threaded process deadlocks allocator/lock state.  The FORK-001
+because the cluster parent runs flush-worker threads, and forking a
+threaded process deadlocks allocator/lock state.  The FORK-001
 analyzer rule holds this package to that.
 """
 
@@ -196,8 +196,8 @@ class ReplicaHandle:
         self._proc: Any = None
         self._thread: threading.Thread | None = None
         self.conn: Connection | None = None
-        # Serialises whole request/reply exchanges: the front-end's
-        # dispatcher and the cluster's swap broadcast share this pipe,
+        # Serialises whole request/reply exchanges: the replica's flush
+        # worker and the cluster's swap broadcast share this pipe,
         # and the protocol is a strict alternation — interleaving two
         # commands before either reply would cross the replies.
         self._pipe_lock = threading.Lock()  # guards conn send/recv pairing

@@ -7,20 +7,9 @@ validation outright: the join-side knobs (``kind``, ``metric``,
 :class:`JoinConfig` in ``__post_init__``, so an invalid value fails with
 exactly the error the offline API would raise.
 
-The service-side knobs are the micro-batching and admission policy:
-
-* ``max_batch`` / ``max_delay_ms`` — the coalescing window: flush when
-  full or when the oldest request has waited this long.
-* ``queue_capacity`` — the admission bound; submissions beyond it raise
-  :class:`~repro.service.queueing.Overloaded`.
-* ``deadline_ms`` — default per-request deadline (``None`` = never
-  degrade); a request past its deadline at flush time is answered from
-  a budgeted browse of ``degrade_budget`` node expansions and flagged
-  ``approximate=True``.
-* ``cold_flush`` — drop the buffer pool before every flush (the
-  harness's cold-run measurement discipline; models a pool shared with
-  heavy unrelated traffic).  Leave True for benchmarking; a dedicated
-  cache can turn it off.
+The service-side knobs — the coalescing window, the admission policy
+(capacity, quotas, deadlines) and the flush discipline — are documented
+on the class.
 """
 
 from __future__ import annotations
@@ -58,7 +47,10 @@ class ServiceConfig:
         request has waited this long (>= 0; 0 = flush whenever the
         worker is free).
     queue_capacity:
-        Admission bound on queued requests (>= 1).
+        Admission bound on requests admitted but not yet answered (>= 1).
+    quota_rps / quota_burst:
+        Per-client token bucket: ``quota_rps`` tokens per second refill a
+        bucket ``quota_burst`` deep (``None`` disables quotas).
     deadline_ms:
         Default deadline applied to every request that does not carry
         its own; ``None`` disables deadlines by default.
@@ -70,7 +62,9 @@ class ServiceConfig:
         Storage geometry of the service's read-only snapshot manager
         (and of the per-flush query-side scratch index).
     cold_flush:
-        Drop caches before each flush (measurement discipline).
+        Drop the buffer pool before each flush: the harness's cold-run
+        measurement discipline, modelling a pool shared with heavy
+        unrelated traffic.  A dedicated cache can turn it off.
     compact_threshold:
         Pending delta operations (inserts + tombstones) at which
         :meth:`~repro.service.service.AnnService.insert` /
@@ -86,6 +80,8 @@ class ServiceConfig:
     max_batch: int = 32
     max_delay_ms: float = 2.0
     queue_capacity: int = 1024
+    quota_rps: float | None = None
+    quota_burst: int = 8
     deadline_ms: float | None = None
     degrade_budget: int = 32
     pool_pages: int = DEFAULT_POOL_PAGES
@@ -119,6 +115,10 @@ class ServiceConfig:
             raise ValueError(f"max_delay_ms must be >= 0, got {self.max_delay_ms}")
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
+        if self.quota_rps is not None and self.quota_rps <= 0:
+            raise ValueError(f"quota_rps must be positive (or None), got {self.quota_rps}")
+        if self.quota_burst < 1:
+            raise ValueError(f"quota_burst must be >= 1, got {self.quota_burst}")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be positive (or None), got {self.deadline_ms}"
@@ -144,6 +144,8 @@ class ServiceConfig:
             "max_batch": self.max_batch,
             "max_delay_ms": self.max_delay_ms,
             "queue_capacity": self.queue_capacity,
+            "quota_rps": self.quota_rps,
+            "quota_burst": self.quota_burst,
             "deadline_ms": self.deadline_ms,
             "degrade_budget": self.degrade_budget,
             "pool_pages": self.pool_pages,

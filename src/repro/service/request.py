@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -81,11 +81,18 @@ class Answer:
         return len(self.neighbor_ids)
 
 
+_Callback = Callable[["PendingRequest"], object]
+
+_CALLBACK_LOCK = threading.Lock()
+"""Guards every ticket's callback list: a lock per ticket would cost
+memory on each of the many tickets that never get a callback."""
+
+
 class PendingRequest:
     """The caller-side ticket: blocks until the service answers.
 
-    Thread-safe: the service fulfils (or fails) it from its worker
-    thread (or from an in-line flush) and every waiter wakes.
+    Thread-safe: the service fulfils (or fails) it from a flush worker
+    (or from an in-line flush) and every waiter wakes.
     ``result`` raises ``TimeoutError`` rather than returning ``None`` so
     a caller can never mistake "not answered yet" for an empty answer;
     a ticket completed via :meth:`fail` re-raises the stored exception —
@@ -94,18 +101,20 @@ class PendingRequest:
     blocking forever.
     """
 
-    __slots__ = ("request", "_event", "_answer", "_error")
+    __slots__ = ("request", "_event", "_answer", "_error", "_callbacks")
 
     def __init__(self, request: Request) -> None:
         self.request = request
         self._event = threading.Event()
         self._answer: Answer | None = None
         self._error: BaseException | None = None
+        # Written under _CALLBACK_LOCK only.
+        self._callbacks: list[_Callback] | None = None  # guarded-by: owner
 
     def fulfil(self, answer: Answer) -> None:
         """Deliver the answer and wake every waiter (service-side)."""
         self._answer = answer
-        self._event.set()
+        self._complete()
 
     def fail(self, error: BaseException) -> None:
         """Complete the ticket exceptionally and wake every waiter.
@@ -115,7 +124,26 @@ class PendingRequest:
         longer answer (shutdown, a flush that died mid-execution).
         """
         self._error = error
-        self._event.set()
+        self._complete()
+
+    def _complete(self) -> None:
+        with _CALLBACK_LOCK:
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
+            fn(self)
+
+    def add_done_callback(self, fn: _Callback) -> None:
+        """Call ``fn(ticket)`` once the ticket completes.
+
+        ``fn`` runs on the thread that completes the ticket (a flush
+        worker), or at once on this thread when it already has.
+        """
+        with _CALLBACK_LOCK:
+            if not self._event.is_set():
+                self._callbacks = [*(self._callbacks or ()), fn]
+                return
+        fn(self)
 
     def done(self) -> bool:
         """Whether the ticket has completed (answered *or* failed)."""

@@ -48,7 +48,7 @@ class TestArtifact:
     def test_zero_lost_requests(self, doc):
         for run in doc["runs"]:
             service = run["service"]
-            assert service["rejected"] == 0.0
+            assert service["shed_overload"] == 0.0
             assert service["cancelled"] == 0.0
             assert service["answered"] == service["submitted"]
 

@@ -98,13 +98,16 @@ class TestDeltaIndexSemantics:
         assert ((survived.inserts[0][2]) == np.ones(2)).all()
         assert 2 in survived.tombstones
 
-    def test_prune_keeps_tombstone_shadowed_by_pending_insert(self):
+    def test_prune_drops_pre_freeze_tombstone_and_keeps_post_freeze_insert(self):
         delta = DeltaIndex(2)
         delta.delete(3)
         view = delta.freeze()
         delta.insert(np.ones(2), 3)  # resurrect after the freeze
         delta.prune_through(view)
-        assert delta.freeze().n_inserts == 1  # the insert is post-freeze
+        after = delta.freeze()
+        assert after.n_inserts == 1  # the insert is post-freeze
+        # The folded base no longer holds id 3, so its tombstone goes.
+        assert after.tombstones == frozenset()
 
 
 def _brute_top_k(points_by_id, query, k):

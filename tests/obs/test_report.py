@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import Tracer, aggregate_stages, format_trace_report, load_trace
@@ -119,8 +120,11 @@ class TestServiceSection:
     def make_service_doc(self):
         doc = make_traced_doc()
         doc["service"] = {
-            "submitted": 90.0,
-            "rejected": 10.0,
+            "submitted": 100.0,
+            "admitted": 90.0,
+            "shed_quota": 0.0,
+            "shed_overload": 10.0,
+            "shed_deadline": 0.0,
             "answered": 90.0,
             "degraded": 9.0,
             "batches": 12.0,
@@ -134,11 +138,48 @@ class TestServiceSection:
 
     def test_admission_and_degrade_rates(self):
         text = format_trace_report(self.make_service_doc())
-        assert "rejected 10.0% at admission" in text
+        assert "quota 0.0%, overload 10.0%, deadline 0.0%" in text
         assert "degraded 10.0% of admitted" in text
 
     def test_offline_docs_have_no_service_section(self):
         assert "Service counters" not in format_trace_report(make_traced_doc())
+
+    def test_in_process_trace_reports_capacity_sheds(self, tmp_path):
+        from repro.service import AnnService, Overloaded, ServiceConfig
+
+        rng = np.random.default_rng(3)
+        path = tmp_path / "service.json"
+        cfg = ServiceConfig(queue_capacity=3, max_delay_ms=1000.0, trace=path)
+        service = AnnService(rng.random((64, 2)), cfg)
+        for point in rng.random((4, 2)):
+            try:
+                service.submit(point)
+            except Overloaded:
+                pass
+        service.pump(force=True)
+        service.close()
+        text = format_trace_report(load_trace(path))
+        # 4 submitted, the fourth over capacity: a quarter shed.
+        assert "quota 0.0%, overload 25.0%, deadline 0.0%" in text
+        assert "degraded 0.0% of admitted" in text
+
+    def test_cluster_trace_reports_quota_sheds(self, tmp_path):
+        from repro.serve import ReplicaCluster, ServeConfig, default_service_config
+        from repro.service import Overloaded
+
+        rng = np.random.default_rng(4)
+        path = tmp_path / "serve.json"
+        service = default_service_config().replace(quota_rps=0.001, quota_burst=1)
+        cfg = ServeConfig(replicas=1, trace=path, service=service)
+        with ReplicaCluster(rng.random((64, 2)), cfg, tmp_path / "epochs", inline=True) as cluster:
+            cluster.query(rng.random(2))
+            with pytest.raises(Overloaded):
+                cluster.submit(rng.random(2))
+        doc = load_trace(path)
+        assert "replica-0" in doc["replica"]
+        text = format_trace_report(doc)
+        assert "quota 50.0%, overload 0.0%, deadline 0.0%" in text
+        assert "Replica counters" in text
 
 
 class TestReplicaSection:

@@ -1,24 +1,28 @@
-"""Front-end policy: quotas, bounded admission, deadline sheds, failover.
+"""The serving pipeline behind the front-end: quotas, bounded admission,
+deadline sheds, idle-worker dispatch, failover, and the ndjson socket.
 
 Shedding must happen *at admission* (``Overloaded`` raised from
 ``submit`` before the request queues) — several tests pin that by
-checking the counters name the admission stage that shed, and that shed
-requests never consume replica work.  The crash test is the satellite's
-"crash a replica" requirement: kill a process replica mid-stream and
-assert the front-end reroutes or sheds without corrupting answers.
+checking the counters name the admission rule that shed, and that shed
+requests never consume replica work.  The crash test kills a process
+replica mid-stream and asserts its batch is rerouted to the survivor
+without corrupting answers.
 """
 
 import asyncio
+import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.serve.cluster import ReplicaCluster
-from repro.serve.config import ServeConfig
-from repro.serve.frontend import Frontend, TokenBucket
-from repro.service.config import ServiceConfig
+from repro.serve.config import ServeConfig, default_service_config
+from repro.serve.frontend import Frontend
+from repro.service import AnnService
 from repro.service.engine import BatchEngine
-from repro.service.queueing import Overloaded, ServiceClosed
+from repro.service.queueing import Overloaded, ServiceClosed, TokenBucket
 from repro.service.request import Request
 
 RNG = np.random.default_rng(20260809)
@@ -28,11 +32,14 @@ def make_points(n=48, dims=2):
     return RNG.normal(size=(n, dims)) * 10.0
 
 
+_SERVE_FIELDS = ("replicas", "cache_slots", "cache_slot_bytes", "trace")
+
+
 def serve_config(**kwargs):
-    kwargs.setdefault(
-        "service", ServiceConfig(cold_flush=False, pool_pages=32)
-    )
-    return ServeConfig(**kwargs)
+    """A ServeConfig; every non-topology keyword goes to its service."""
+    serve = {key: kwargs.pop(key) for key in _SERVE_FIELDS if key in kwargs}
+    service = default_service_config().replace(pool_pages=32, **kwargs)
+    return ServeConfig(service=service, **serve)
 
 
 @pytest.fixture
@@ -98,6 +105,25 @@ class TestSubmitPath:
             assert answer.distances == dists
             assert answer.approximate == approx
 
+    def test_frontend_over_in_process_service(self, points):
+        # The adapter takes any AnnService: the in-process engine answers
+        # exactly what the engine does, and drain closes the service.
+        config = default_service_config().replace(pool_pages=32)
+        want = BatchEngine(points, config).execute(
+            [Request(0, points[3], k=2, submitted_s=0.0, deadline_s=None)], now_s=0.0
+        ).answers[0]
+
+        async def go():
+            service = AnnService(points, config)
+            async with Frontend(service) as frontend:
+                answer = await frontend.submit(points[3], k=2)
+            return answer, service
+
+        answer, service = run(go())
+        assert (answer.neighbor_ids, answer.distances, answer.approximate) == want
+        with pytest.raises(ServiceClosed):
+            service.submit(points[0])
+
     def test_counters_and_drain_sections(self, points, tmp_path):
         config = serve_config(replicas=2)
 
@@ -137,8 +163,6 @@ class TestSubmitPath:
         run(go())
 
     def test_trace_artifact_has_replica_section(self, points, tmp_path):
-        import json
-
         trace_path = tmp_path / "serve-trace.json"
         config = serve_config(replicas=2, trace=trace_path)
 
@@ -179,27 +203,28 @@ class TestShedding:
         assert counters.answered == 3
 
     def test_admission_bound_sheds_before_queueing(self, points, tmp_path):
-        config = serve_config(replicas=1, admission_capacity=2, max_batch=2)
+        config = serve_config(replicas=1, queue_capacity=2, max_batch=2)
 
         async def go():
             with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
                 frontend = Frontend(cluster)
-                await frontend.start()
-                # Fill the admission window without yielding to the
-                # dispatcher: both tickets sit queued, capacity reached.
-                lane, t1 = frontend._admit(points[0], 1, "c", None)
-                frontend._enqueue(lane, t1)
-                lane2, t2 = frontend._admit(points[1], 1, "c", None)
-                frontend._enqueue(lane2, t2)
+                # Fill the admission window before any flush worker runs:
+                # both tickets sit queued, capacity reached.
+                t1 = cluster.submit(points[0], 1)
+                t2 = cluster.submit(points[1], 1)
                 with pytest.raises(Overloaded):
-                    frontend._admit(points[2], 1, "c", None)
+                    await frontend.submit(points[2], k=1)
                 assert frontend.counters.shed_overload == 1
-                await asyncio.gather(t1.future, t2.future)
+                assert len(cluster) == 2
+                await frontend.start()
+                await asyncio.to_thread(t1.result, 30.0)
+                await asyncio.to_thread(t2.result, 30.0)
                 await frontend.drain()
                 return frontend.counters
 
         counters = run(go())
         assert counters.answered == 2
+        assert counters.admitted == 2 and counters.submitted == 3
 
     def test_deadline_shed_uses_backlog_estimate(self, points, tmp_path):
         config = serve_config(replicas=1, deadline_ms=10.0)
@@ -207,16 +232,14 @@ class TestShedding:
         async def go():
             with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
                 frontend = Frontend(cluster)
-                await frontend.start()
-                lane = frontend._lanes[0]
-                # A lane whose one-batch EWMA already exceeds the 10ms
+                # A service whose flush estimate already exceeds the 10ms
                 # budget must shed at admission, not queue-and-degrade.
-                lane.ewma_batch_s = 5.0
-                lane.queue.append(object())  # backlog of one
+                cluster._ewma_batch_s = 5.0
+                cluster.submit(points[1], 1, deadline_ms=None)  # backlog of one
                 with pytest.raises(Overloaded):
-                    frontend._admit(points[0], 1, "c", None)
+                    await frontend.submit(points[0], k=1)
                 assert frontend.counters.shed_deadline == 1
-                lane.queue.clear()
+                await frontend.start()
                 await frontend.drain()
 
         run(go())
@@ -239,24 +262,72 @@ class TestShedding:
 
 class TestRouting:
     def test_least_loaded_lane_chosen(self, points, tmp_path):
-        config = serve_config(replicas=3)
+        # One queue, one flush worker per replica: while one replica is
+        # blocked on a batch, the idle one takes the next batch.
+        config = serve_config(replicas=2)
+        release = threading.Event()
+        served = []
 
         async def go():
             with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
-                frontend = Frontend(cluster)
-                await frontend.start()
-                frontend._lanes[0].inflight = 5
-                frontend._lanes[1].inflight = 1
-                frontend._lanes[2].inflight = 3
-                lane, ticket = frontend._admit(points[0], 1, "c", None)
-                assert lane is frontend._lanes[1]
-                for ln in frontend._lanes:
-                    ln.inflight = 0
-                frontend._enqueue(lane, ticket)
-                await ticket.future
-                await frontend.drain()
+                for handle in cluster.replicas:
+                    plain = handle.query
 
-        run(go())
+                    def query(batch_id, requests, now_s, plain=plain, rid=handle.replica_id):
+                        served.append(rid)
+                        if len(served) == 1:
+                            release.wait(30.0)
+                        return plain(batch_id, requests, now_s)
+
+                    handle.query = query
+                async with Frontend(cluster) as frontend:
+                    first = asyncio.create_task(frontend.submit(points[0], k=1))
+                    while not served:
+                        await asyncio.sleep(0.001)
+                    second = await asyncio.wait_for(frontend.submit(points[1], k=1), 30.0)
+                    assert not first.done()
+                    release.set()
+                    return await first, second
+
+        first, second = run(go())
+        assert len(served) == 2 and served[0] != served[1]
+        assert first.distances == (0.0,) and second.distances == (0.0,)
+
+
+class TestConcurrency:
+    def test_many_flush_workers_lose_no_update(self, points, tmp_path):
+        # More flush workers than cores and a tiny switch interval: every
+        # admitted request is answered exactly once, and the shared
+        # counters and capacity bookkeeping add up.
+        config = serve_config(replicas=4, max_batch=2)
+        tickets = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
+                cluster.start()
+
+                def client(offset):
+                    for i in range(30):
+                        point = points[(offset + i) % len(points)]
+                        tickets.append(cluster.submit(point, 1))
+
+                threads = [threading.Thread(target=client, args=(j,)) for j in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                answers = [ticket.result(timeout_s=30.0) for ticket in tickets]
+                replica_answered = sum(s["answered"] for s in cluster.stats())
+                counters = cluster.counters
+                unanswered = cluster._queue.unanswered
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 120
+        assert all(answer.distances == (0.0,) for answer in answers)
+        assert counters.admitted == counters.answered == replica_answered == 120
+        assert unanswered == 0
 
 
 class TestCrashFailover:
@@ -319,7 +390,7 @@ class TestCrashFailover:
                     with pytest.raises((Overloaded, ServiceClosed)):
                         # Either the dead pipe is discovered now (this
                         # submit's batch errors → ServiceClosed) or
-                        # admission already knows there is no live lane.
+                        # admission already knows there is no live worker.
                         await frontend.submit(points[1], k=1)
                     with pytest.raises(ServiceClosed):
                         await frontend.submit(points[2], k=1)
@@ -337,8 +408,6 @@ class TestSocketServer:
                 await frontend.start()
                 host, port = await frontend.serve()
                 reader, writer = await asyncio.open_connection(host, port)
-                import json
-
                 msg = {
                     "op": "query",
                     "id": 42,
@@ -369,17 +438,18 @@ class TestSocketServer:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"point": [1.0, 2.0, 3.0]},
-            {"point": [float("nan"), 0.0]},
-            {"point": [0.0, 0.0], "k": 0},
+            {"op": "query", "id": 7, "point": [1.0, 2.0, 3.0]},
+            {"op": "query", "id": 7, "point": [float("nan"), 0.0]},
+            {"op": "query", "id": 7, "point": [0.0, 0.0], "k": 0},
+            [1, 2],
+            3,
+            "x",
         ],
-        ids=["wrong-dims", "nan", "k0"],
+        ids=["wrong-dims", "nan", "k0", "list", "number", "string"],
     )
     def test_malformed_query_is_refused_without_killing_replicas(
         self, points, tmp_path, bad
     ):
-        import json
-
         config = serve_config(replicas=2)
 
         async def go():
@@ -389,7 +459,7 @@ class TestSocketServer:
                 host, port = await frontend.serve()
                 reader, writer = await asyncio.open_connection(host, port)
                 good = {"op": "query", "point": [float(x) for x in points[0]], "k": 1}
-                for msg in ({"op": "query", **bad}, good):
+                for msg in (bad, good):
                     writer.write(json.dumps(msg).encode() + b"\n")
                     await writer.drain()
                 replies = [json.loads(await reader.readline()) for _ in range(2)]
@@ -399,12 +469,49 @@ class TestSocketServer:
 
         (refused, answered), counters = run(go())
         assert refused["error"].startswith("bad request: ")
+        # A client matching replies by id gets its refusal back.
+        if isinstance(bad, dict):
+            assert refused["id"] == 7
         assert counters.replica_deaths == 0
         assert answered["distances"] == [0.0]
 
-    def test_oversized_line_is_refused_without_killing_replicas(self, points, tmp_path):
-        import json
+    def test_deadline_ms_is_relative_to_admission(self, points, tmp_path):
+        config = serve_config(replicas=1)
+        seen = []
 
+        async def go():
+            with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
+                plain = cluster.replicas[0].query
+
+                def query(batch_id, requests, now_s):
+                    seen.extend(requests)
+                    return plain(batch_id, requests, now_s)
+
+                cluster.replicas[0].query = query
+                frontend = Frontend(cluster)
+                await frontend.start()
+                host, port = await frontend.serve()
+                reader, writer = await asyncio.open_connection(host, port)
+                msg = {
+                    "op": "query",
+                    "id": 1,
+                    "point": [float(x) for x in points[0]],
+                    "deadline_ms": 5000,
+                }
+                writer.write(json.dumps(msg).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                writer.close()
+                await frontend.drain()
+                return reply
+
+        reply = run(go())
+        assert reply["id"] == 1 and reply["distances"] == [0.0]
+        assert reply["approximate"] is False
+        (request,) = seen
+        assert request.deadline_s == request.submitted_s + 5000 / 1000.0
+
+    def test_oversized_line_is_refused_without_killing_replicas(self, points, tmp_path):
         config = serve_config(replicas=2)
         # About 100 KB, past StreamReader's 64 KiB line limit.
         oversized = b'{"op": "query", "point": [' + b"0.0, " * 20_000 + b"0.0]}\n"

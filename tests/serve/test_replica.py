@@ -131,6 +131,21 @@ class TestInlineReplica:
         assert version.size == len(points)
 
 
+class TestServeConfig:
+    def test_serve_defaults(self):
+        # The serve tier's pipeline: flush whenever a worker is free, in
+        # batches of at most 16, at most 256 admitted but unanswered,
+        # warm caches.
+        service = ServeConfig().service
+        assert (service.max_batch, service.max_delay_ms) == (16, 0.0)
+        assert (service.queue_capacity, service.cold_flush) == (256, False)
+
+    def test_service_trace_rejected(self, tmp_path):
+        # One trace writer: a cluster traces to ServeConfig.trace only.
+        with pytest.raises(ValueError, match="service.trace"):
+            ServeConfig(service=ServiceConfig(trace=tmp_path / "t.json"))
+
+
 class TestCluster:
     def test_hot_swap_on_publish(self, tmp_path):
         points = make_points(n=32)
@@ -169,7 +184,7 @@ class TestCluster:
                 cluster.insert(RNG.normal(size=2), point_id=1000 + i)
             assert cluster.epoch > epoch0
             assert cluster.replicas[0].ping() == cluster.epoch
-            assert cluster.pending_ops == 0
+            assert cluster.engine.pending_ops == 0
 
     def test_shared_cache_traffic_surfaces(self, tmp_path):
         points = make_points(n=64)

@@ -35,10 +35,25 @@ class TestAdmission:
             q.offer(make_pending(1))
 
     def test_take_frees_capacity(self):
+        # A taken batch is in flight: its slots free only once answered.
         q = MicroBatchQueue(capacity=1, max_batch=1, max_delay_s=0.0)
         q.offer(make_pending(0))
         assert [p.request.request_id for p in q.take(0.0)] == [0]
+        assert len(q) == 0 and q.unanswered == 1
+        with pytest.raises(Overloaded):
+            q.offer(make_pending(1))
+        q.complete(1)
         q.offer(make_pending(1))  # does not raise
+
+    def test_requeue_puts_batch_back_at_head_in_order(self):
+        q = MicroBatchQueue(capacity=8, max_batch=2, max_delay_s=0.0)
+        for i in range(3):
+            q.offer(make_pending(i))
+        batch = q.take(0.0)
+        q.requeue(batch)
+        assert q.unanswered == 3
+        assert [p.request.request_id for p in q.take_all()] == [0, 1, 2]
+        assert q.unanswered == 0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -203,8 +203,9 @@ class TestBackpressure:
             service.submit(query_points[2])
         assert exc.value.capacity == 2
         assert len(service) == 2
-        assert service.counters.rejected == 1
-        assert service.counters.submitted == 2
+        assert service.counters.shed_overload == 1
+        assert service.counters.submitted == 3
+        assert service.counters.admitted == 2
         assert service.counters.max_queue_len == 2
         service.pump(force=True)  # flush frees capacity
         service.submit(query_points[2])
