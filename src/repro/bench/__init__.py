@@ -14,7 +14,7 @@ from .experiments import (
 from .harness import MethodRun, format_series, format_table, run_method, run_registered
 from .kernels import format_kernel_report, kernel_bench
 from .parallel import format_parallel_report, parallel_scaling
-from .service import format_service_report, run_multiprocess_bench, run_service_bench
+from .service import format_service_report, run_service_bench
 from .updates import format_update_report, run_update_bench
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "parallel_scaling",
     "format_parallel_report",
     "run_service_bench",
-    "run_multiprocess_bench",
     "format_service_report",
     "run_update_bench",
     "format_update_report",

@@ -55,7 +55,7 @@ from ..index import build_mbrqt, build_rstar, nearest_iter
 from ..service import AnnService, FakeClock, PendingRequest, ServiceConfig
 from ..storage.manager import StorageManager
 from .harness import modeled_cpu_seconds
-from .service import _percentile
+from .service import _latency_row, _table
 
 __all__ = ["run_update_bench", "format_update_report", "SCHEMA"]
 
@@ -233,12 +233,7 @@ def run_update_bench(
                 "boundary_checks": boundary_checks,
                 "final_size": final_size,
                 "flushes": flushes,
-                "latency_s": {
-                    "mean": sum(latencies) / len(latencies),
-                    "p50": _percentile(latencies, 0.50),
-                    "p95": _percentile(latencies, 0.95),
-                    "p99": _percentile(latencies, 0.99),
-                },
+                "latency_s": _latency_row(latencies),
                 "counters": totals.as_dict(),
                 "service": counters.as_dict(),
             }
@@ -294,10 +289,7 @@ def format_update_report(doc: dict[str, object]) -> str:
                 f"{service['compactions']:.0f}",
             ]
         )
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    lines.extend(_table(header, rows))
     lines.append("(every epoch boundary probe-verified against a scratch-rebuilt "
                  "index; runs fail on any rejected, cancelled, or unanswered request)")
     return "\n".join(lines)

@@ -22,9 +22,8 @@ These commands cover the common workflows without writing any code:
   on N mapped-epoch replica processes (:mod:`repro.serve`) instead of
   the in-process engine — the multi-process CI smoke.
 * ``service-bench`` — closed-loop micro-batching sweep (throughput and
-  latency quantiles vs. coalescing window) writing ``BENCH_service.json``
-  with an open-loop Poisson-arrival section; ``--processes 1 2 4`` adds
-  the multi-process replica-scaling section.
+  latency quantiles vs. coalescing window, on the modeled clock) writing
+  ``BENCH_service.json``.
 * ``update-bench`` — query latency under a sustained insert/delete
   stream with epoch compactions, every hot swap verified against a
   scratch-rebuilt index; writes ``BENCH_updates.json``.
@@ -383,7 +382,6 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
             kind=args.kind,
             seed=args.seed,
             smoke=args.smoke,
-            processes=tuple(args.processes) if args.processes else None,
             out_path=out,
         )
     except ValueError as exc:
@@ -566,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--smoke", action="store_true",
                    help="seconds-long CI configuration (same code paths)")
-    p.add_argument("--processes", type=int, nargs="+", default=None,
-                   help="also sweep replica counts against the multi-process "
-                        "serving cluster (first must be the 1-replica "
-                        "baseline); adds the 'multiprocess' artifact section")
     p.add_argument("--out", default="BENCH_service.json",
                    help="artifact path ('-' to skip writing)")
     p.set_defaults(fn=_cmd_service_bench)

@@ -83,6 +83,17 @@ class ReplicaCluster(AnnService):
             handle = ReplicaHandle(spec, inline=inline)
             handle.start()
             self.replicas.append(handle)
+        # Every spawn is under way before the first wait, so they overlap;
+        # the ping returns once a replica has mapped its epoch, so no
+        # flush (and no flush-time estimate) pays for a spawn.
+        for handle in self.replicas:
+            try:
+                handle.ping()
+            except _PIPE_ERRORS as exc:
+                self._stop_fleet()
+                raise RuntimeError(
+                    f"replica {handle.replica_id} did not come up on {self._epoch_dir}"
+                ) from exc
         # Batch ids per replica; each is touched by its own worker only.
         self._sent = [0] * len(self.replicas)
 
@@ -174,6 +185,11 @@ class ReplicaCluster(AnnService):
     def close(self) -> dict[str, Any]:
         """Close the pipeline, then stop the fleet and free the cache segment."""
         sections = super().close()
+        self._stop_fleet()
+        return sections
+
+    def _stop_fleet(self) -> None:
+        """Stop and reap every replica, then free the shared-cache segment."""
         for replica in self.replicas:
             try:
                 replica.stop()
@@ -181,4 +197,3 @@ class ReplicaCluster(AnnService):
                 replica.join()
         if self.cache is not None:
             self.cache.close()
-        return sections

@@ -116,14 +116,16 @@ class ReplicaSpec:
 def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
     """The replica loop: serve commands until ``stop`` or pipe EOF."""
     cache = SharedNodeCache.attach(spec.cache) if spec.cache is not None else None
-    version = load_epoch_version(
-        spec.epoch_dir, spec.pool_pages, spec.node_cache_entries, cache
-    )
     batches = 0
     answered = 0
     degraded = 0
     swaps = 0
     try:
+        # Inside the try: a replica that cannot map its epoch closes the
+        # pipe, so the parent's readiness ping sees EOF instead of hanging.
+        version = load_epoch_version(
+            spec.epoch_dir, spec.pool_pages, spec.node_cache_entries, cache
+        )
         while True:
             try:
                 msg = conn.recv()
@@ -185,9 +187,9 @@ class ReplicaHandle:
     * **process** (default) — a spawned ``multiprocessing.Process``
       running :func:`replica_main`; the real serving topology.
     * **inline** — a daemon thread running the same loop over an
-      in-process pipe.  Deterministic and debuggable; the bench sweep
-      and most tests use it, so protocol behaviour is pinned without
-      paying process startup per test.
+      in-process pipe.  Deterministic and debuggable; most tests use
+      it, so protocol behaviour is pinned without paying process
+      startup per test.
     """
 
     def __init__(self, spec: ReplicaSpec, inline: bool = False) -> None:

@@ -1,15 +1,10 @@
-"""Tests for the closed/open-loop service load generators and artifact."""
+"""Tests for the closed-loop service load generator and its artifact."""
 
 import json
 
 import pytest
 
-from repro.bench.service import (
-    SCHEMA,
-    format_service_report,
-    run_multiprocess_bench,
-    run_service_bench,
-)
+from repro.bench.service import SCHEMA, format_service_report, run_service_bench
 
 
 @pytest.fixture(scope="module")
@@ -17,15 +12,6 @@ def doc():
     """One small sweep shared by the schema/behaviour assertions."""
     return run_service_bench(
         windows=(1, 4, 8), clients=8, n_target=300, n_requests=48
-    )
-
-
-@pytest.fixture(scope="module")
-def mp_doc():
-    """One small replica sweep shared by the multiprocess assertions."""
-    return run_multiprocess_bench(
-        processes=(1, 2, 4), clients=16, n_target=300, n_requests=64,
-        max_batch=4,
     )
 
 
@@ -101,125 +87,6 @@ class TestValidation:
         assert [r["max_batch"] for r in doc["runs"]] == [1, 8, 16]
 
 
-class TestOpenLoop:
-    def test_section_envelope(self, doc):
-        section = doc["open_loop"]
-        # Offered load is expressed against the largest window's
-        # measured closed-loop capacity.
-        assert section["max_batch"] == doc["runs"][-1]["max_batch"]
-        assert section["capacity_rps"] == doc["runs"][-1]["throughput_rps"]
-        assert [r["utilization"] for r in section["runs"]] == [0.5, 0.9]
-
-    def test_run_rows_complete(self, doc):
-        for run in doc["open_loop"]["runs"]:
-            assert {"utilization", "offered_rps", "throughput_rps", "flushes",
-                    "mean_batch", "elapsed_model_s", "latency_s",
-                    "checksum"} <= run.keys()
-            assert run["latency_s"]["p50"] <= run["latency_s"]["p99"]
-
-    def test_poisson_arrivals_do_not_change_answers(self, doc):
-        base = doc["runs"][0]["checksum"]
-        for run in doc["open_loop"]["runs"]:
-            assert abs(run["checksum"] - base) <= 1e-6 * max(1.0, abs(base))
-
-    def test_throughput_tracks_offered_load(self, doc):
-        # Open loop below capacity: the server keeps up, so measured
-        # throughput sits near (never meaningfully above) the offered
-        # rate — arrivals, not the server, set the pace.
-        for run in doc["open_loop"]["runs"]:
-            assert 0.0 < run["throughput_rps"] <= run["offered_rps"] * 1.05
-
-    def test_higher_load_means_more_coalescing(self, doc):
-        lo, hi = doc["open_loop"]["runs"]
-        assert hi["mean_batch"] >= lo["mean_batch"]
-
-    def test_disabled_with_empty_utilizations(self):
-        doc = run_service_bench(
-            windows=(1, 4), clients=4, n_target=200, n_requests=12,
-            utilizations=(),
-        )
-        assert "open_loop" not in doc
-
-    def test_rejects_nonpositive_utilization(self):
-        with pytest.raises(ValueError, match="utilizations"):
-            run_service_bench(
-                windows=(1, 4), clients=4, n_target=200, n_requests=12,
-                utilizations=(0.0,),
-            )
-
-
-class TestMultiprocess:
-    def test_section_envelope(self, mp_doc):
-        assert mp_doc["clients"] == 16
-        assert mp_doc["max_batch"] == 4
-        assert [r["replicas"] for r in mp_doc["runs"]] == [1, 2, 4]
-
-    def test_run_rows_complete(self, mp_doc):
-        for run in mp_doc["runs"]:
-            assert {"replicas", "flushes", "per_replica_batches",
-                    "elapsed_model_s", "throughput_rps", "latency_s",
-                    "counters", "vs_1x"} <= run.keys()
-            assert sum(run["per_replica_batches"]) == run["flushes"]
-            assert len(run["per_replica_batches"]) == run["replicas"]
-
-    def test_acceptance_bar(self, mp_doc):
-        # The PR's acceptance criterion: >= 2x closed-loop throughput at
-        # 4 replicas vs 1, at equal-or-better p99 (answers bit-identical
-        # — run_multiprocess_bench raises before recording otherwise).
-        four = mp_doc["runs"][-1]
-        assert four["replicas"] == 4
-        assert four["vs_1x"]["throughput_ratio"] >= 2.0
-        assert four["vs_1x"]["p99_ratio"] >= 1.0
-
-    def test_baseline_ratios_are_unity(self, mp_doc):
-        assert mp_doc["runs"][0]["vs_1x"] == {
-            "throughput_ratio": 1.0, "p99_ratio": 1.0
-        }
-
-    def test_deterministic(self, mp_doc):
-        again = run_multiprocess_bench(
-            processes=(1, 2, 4), clients=16, n_target=300, n_requests=64,
-            max_batch=4,
-        )
-
-        def modeled(section):
-            return [
-                {k: v for k, v in run.items() if k != "counters"}
-                | {"io_time_s": run["counters"]["io_time_s"]}
-                for run in section["runs"]
-            ]
-
-        assert modeled(again) == modeled(mp_doc)
-
-    def test_attaches_to_service_artifact(self, tmp_path):
-        out = tmp_path / "BENCH_service.json"
-        doc = run_service_bench(
-            windows=(1, 4), clients=8, n_target=200, n_requests=24,
-            utilizations=(), processes=(1, 2), out_path=out,
-        )
-        assert [r["replicas"] for r in doc["multiprocess"]["runs"]] == [1, 2]
-        assert json.loads(out.read_text()) == doc
-
-    def test_processes_must_start_with_baseline(self):
-        with pytest.raises(ValueError, match="baseline"):
-            run_multiprocess_bench(
-                processes=(2, 4), n_target=200, n_requests=16
-            )
-
-    def test_clients_must_cover_the_window(self):
-        with pytest.raises(ValueError, match="clients"):
-            run_multiprocess_bench(
-                processes=(1,), clients=2, max_batch=4,
-                n_target=200, n_requests=16,
-            )
-
-    def test_smoke_overrides_sizes(self):
-        doc = run_multiprocess_bench(processes=(1, 2), smoke=True)
-        assert doc["n_requests"] == 96
-        assert doc["clients"] == 16
-        assert doc["max_batch"] == 4
-
-
 class TestReport:
     def test_report_mentions_every_window(self, doc):
         text = format_service_report(doc)
@@ -227,19 +94,7 @@ class TestReport:
         for run in doc["runs"]:
             assert f"\n{run['max_batch']} " in "\n" + text
 
-    def test_report_renders_open_loop(self, doc):
-        text = format_service_report(doc)
-        assert "Open loop — Poisson arrivals" in text
-        assert "offered_rps" in text
-
-    def test_report_renders_multiprocess(self, doc, mp_doc):
-        merged = dict(doc)
-        merged["multiprocess"] = mp_doc
-        text = format_service_report(merged)
-        assert "Multi-process serving" in text
-        assert "p99_x" in text
-
     def test_report_without_optional_sections(self, doc):
-        bare = {k: v for k, v in doc.items() if k != "open_loop"}
-        text = format_service_report(bare)
+        assert doc.keys() == {"schema", "dataset", "workload", "baseline_max_batch", "runs"}
+        text = format_service_report(doc)
         assert "Open loop" not in text and "Multi-process" not in text

@@ -77,10 +77,13 @@ class TestTokenBucket:
 
 
 class TestSubmitPath:
-    def test_answers_bit_identical_to_engine(self, points, tmp_path):
+    @pytest.mark.parametrize("replicas", [1, 2, 4])
+    def test_answers_bit_identical_to_engine(self, points, tmp_path, replicas):
         # The end-to-end serving bar: front-end answers equal the
-        # in-process engine's RawAnswers for the same points, exactly.
-        config = serve_config(replicas=2)
+        # in-process engine's RawAnswers for the same points, exactly,
+        # whatever the fleet size (each replica maps a fair pool slice;
+        # small batches spread the stream over the fleet).
+        config = serve_config(replicas=replicas, max_batch=2)
         engine = BatchEngine(points, config.service)
         queries = [points[i] + 0.05 for i in range(10)]
         want = engine.execute(

@@ -7,6 +7,8 @@ returns for the same request stream — same ids, same float bits — which
 is the acceptance bar the whole serving tier stands on.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,19 @@ class TestCluster:
 
 
 class TestProcessReplica:
+    def test_cluster_waits_for_replicas_to_map_their_epoch(self, tmp_path, monkeypatch):
+        # Construction returns only once every replica has mapped its
+        # epoch: one that cannot come up fails the constructor (not the
+        # first query), and the fleet it started is reaped.
+        empty = tmp_path / "no-artifact"
+        empty.mkdir()
+        monkeypatch.setattr(ReplicaCluster, "_export_epoch", lambda self: empty)
+        config = ServeConfig(replicas=1, service=ServiceConfig(pool_pages=32))
+        before = {proc.pid for proc in multiprocessing.active_children()}
+        with pytest.raises(RuntimeError, match="replica 0"):
+            ReplicaCluster(make_points(n=16), config, tmp_path / "work")
+        assert {proc.pid for proc in multiprocessing.active_children()} == before
+
     def test_process_replica_bit_identical(self, tmp_path):
         config = ServiceConfig(pool_pages=32)
         points = make_points(n=32)

@@ -279,23 +279,13 @@ class TestServiceBench:
             main(["service-bench", "--windows", "4", "8", "--clients", "8",
                   "-n", "100", "--requests", "8", "--out", "-"])
 
-    def test_processes_sweep_adds_multiprocess_section(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_service.json"
-        args = ["service-bench", "--windows", "1", "4", "--clients", "8",
-                "-n", "200", "--requests", "24", "--processes", "1", "2",
-                "--out", str(out_path)]
-        assert main(args) == 0
-        doc = json.loads(out_path.read_text())
-        assert [r["replicas"] for r in doc["multiprocess"]["runs"]] == [1, 2]
-        assert "Multi-process serving" in capsys.readouterr().out
-
-    def test_bad_processes_exit(self):
-        with pytest.raises(SystemExit, match="baseline"):
+    def test_bad_processes_exit(self, capsys):
+        # service-bench has no --processes: replica scaling is not swept.
+        with pytest.raises(SystemExit):
             main(["service-bench", "--windows", "1", "--clients", "8",
                   "-n", "100", "--requests", "8", "--processes", "2",
                   "--out", "-"])
+        assert "unrecognized arguments: --processes" in capsys.readouterr().err
 
 
 class TestUpdateBench:
