@@ -48,7 +48,6 @@ from .join import (
     distance_semi_join,
     gorder_join,
     hnn_join,
-    kdtree_join,
     knn_search,
     mnn_join,
     mux_knn_join,
@@ -84,7 +83,6 @@ __all__ = [
     "radius_query",
     "nearest_iter",
     "brute_force_join",
-    "kdtree_join",
     "build_mbrqt",
     "build_rstar",
     "PagedIndex",

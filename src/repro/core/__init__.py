@@ -5,7 +5,6 @@ from .lpq import LPQ, make_node_lpq, make_object_lpq
 from .mba import mba_join
 from .metrics import (
     dist_point_points,
-    dist_points,
     maxdist_per_dim,
     maxmaxdist,
     maxmaxdist_batch,
@@ -32,7 +31,6 @@ __all__ = [
     "make_node_lpq",
     "make_object_lpq",
     "mba_join",
-    "dist_points",
     "dist_point_points",
     "maxdist_per_dim",
     "maxmin_per_dim",

@@ -32,7 +32,6 @@ import numpy as np
 from .geometry import Rect, RectArray
 
 __all__ = [
-    "dist_points",
     "maxdist_per_dim",
     "maxmin_per_dim",
     "minmindist",
@@ -57,12 +56,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # point-level kernels
 # ---------------------------------------------------------------------------
-
-
-def dist_points(p: np.ndarray, q: np.ndarray) -> float:
-    """Euclidean distance ``DIST(p, q)`` between two points."""
-    diff = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
-    return float(np.sqrt(np.dot(diff, diff)))
 
 
 def dist_point_points(p: np.ndarray, points: np.ndarray) -> np.ndarray:

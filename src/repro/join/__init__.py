@@ -11,8 +11,8 @@
   specialised-structure method the paper's Section 2 discusses.
 * :func:`distance_join` / :func:`closest_pairs` /
   :func:`distance_semi_join` — the related join family of Section 2.
-* :func:`brute_force_join` / :func:`kdtree_join` — exact references for
-  correctness testing.
+* :func:`brute_force_join` — the exact reference for correctness
+  testing.
 
 The paper's own algorithm (MBA/RBA) lives in :mod:`repro.core.mba`.
 :mod:`repro.join.registry` maps method names (``"mba"``, ``"bnn"``, …)
@@ -26,7 +26,7 @@ from .gorder import GOrderedFile, gorder_join, grid_order, pca_transform
 from .hnn import hnn_join
 from .mnn import knn_search, mnn_join
 from .mux import MuxFile, mux_knn_join
-from .naive import brute_force_join, kdtree_join
+from .naive import brute_force_join
 from .registry import (
     REGISTRY,
     JoinMethod,
@@ -59,5 +59,4 @@ __all__ = [
     "mux_knn_join",
     "MuxFile",
     "brute_force_join",
-    "kdtree_join",
 ]

@@ -1,19 +1,17 @@
-"""Reference ANN/AkNN implementations used as ground truth in tests.
+"""The reference AkNN implementation used as ground truth in tests.
 
-Two independent references are provided so they can also cross-check each
-other: a pure-numpy brute force (quadratic, exact by construction) and a
-scipy cKDTree search.  Neither touches the storage substrate — they exist
-for correctness, not for benchmarking I/O.
+A pure-numpy brute force: quadratic, exact by construction, and
+independent of the storage substrate — it exists for correctness, not
+for benchmarking I/O.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..core.result import NeighborResult
 
-__all__ = ["brute_force_join", "kdtree_join"]
+__all__ = ["brute_force_join"]
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -60,42 +58,4 @@ def brute_force_join(
             for col in cols:
                 if np.isfinite(dists[row][col]):
                     result.add(int(r_ids[start + row]), int(s_ids[col]), float(dists[row][col]))
-    return result.finalize()
-
-
-def kdtree_join(
-    r_points: np.ndarray,
-    s_points: np.ndarray,
-    k: int = 1,
-    exclude_self: bool = False,
-    r_ids: np.ndarray | None = None,
-    s_ids: np.ndarray | None = None,
-) -> NeighborResult:
-    """Exact AkNN via scipy's cKDTree (independent of the numpy reference)."""
-    r_points = _as_points(r_points)
-    s_points = _as_points(s_points)
-    if r_ids is None:
-        r_ids = np.arange(len(r_points), dtype=np.int64)
-    if s_ids is None:
-        s_ids = np.arange(len(s_points), dtype=np.int64)
-
-    tree = cKDTree(s_points)
-    # Ask for one extra neighbour so a self-match can be dropped.
-    kk = min(k + (1 if exclude_self else 0), len(s_points))
-    dists, idx = tree.query(r_points, k=kk)
-    if kk == 1:
-        dists = dists[:, None]
-        idx = idx[:, None]
-
-    result = NeighborResult(k)
-    for row in range(len(r_points)):
-        added = 0
-        for col in range(kk):
-            s_pos = int(idx[row][col])
-            if exclude_self and int(s_ids[s_pos]) == int(r_ids[row]):
-                continue
-            result.add(int(r_ids[row]), int(s_ids[s_pos]), float(dists[row][col]))
-            added += 1
-            if added == k:
-                break
     return result.finalize()

@@ -18,7 +18,8 @@ pending delta is the writer's alone.  That is the standard
 replicated-search contract (ROADMAP north star: faiss behind app
 servers) — bounded staleness between publishes, bit-identical answers
 for any given epoch.  Tests that need delta-inclusive answers compact
-first.
+first.  Compaction stays on the writer's thread here (see
+:class:`ReplicaCluster`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,18 @@ _PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 
 
 class ReplicaCluster(AnnService):
-    """A writer engine plus N mapped-epoch replicas over one workdir."""
+    """A writer engine plus N mapped-epoch replicas over one workdir.
+
+    Unlike the in-process service, a cluster compacts *inline*, on the
+    writer's thread, even while its flush workers run: the write that
+    crosses ``compact_threshold`` returns only after the new epoch is
+    built, exported and swapped into every live replica.  Replicas
+    serve no delta, so a write reaches reads only through a publish,
+    and callers may rely on "the epoch published during my write holds
+    it, and the fleet has it by the time the write returns" (the
+    serve-socket benchmark's answer oracle does).  A background publish
+    would break that promise and widen the staleness bound by the build.
+    """
 
     def __init__(
         self,
@@ -130,6 +142,11 @@ class ReplicaCluster(AnnService):
             if replica.alive:
                 replica.swap(str(self._epoch_dir))
         return new_epoch
+
+    def _maybe_compact(self) -> None:
+        """Compact inline, never in the background (see the class docstring)."""
+        if self.engine.pending_ops >= self.config.compact_threshold:
+            self.compact()
 
     # -- flush workers --------------------------------------------------------
 

@@ -70,7 +70,8 @@ class ServiceConfig:
         :meth:`~repro.service.service.AnnService.insert` /
         :meth:`~repro.service.service.AnnService.delete` trigger an
         automatic compaction: the delta is folded into a freshly built
-        base index published as a new epoch (>= 1; raise it to batch
+        base index published as a new epoch, on a background thread
+        while flush workers run (>= 1; raise it to batch
         more updates per rebuild, lower it to keep query-time delta
         merging cheap).
     """

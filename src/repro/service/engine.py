@@ -27,13 +27,19 @@ The **write path** layers on top without touching any tree:
   decomposition, so every epoch's pages are a pure function of its
   survivors, whatever the write history.
 
-One lock, ``_lock``, serialises all of it: writes, compaction, and the
-pin of ``(epoch, delta view)`` that opens every flush.  Compaction holds
-it for the whole rebuild, so a flush that starts during a compaction
-waits for the new epoch; flushes already past their pin finish on the
-old one.  Building off the lock was measured and lost: the pure-Python
-build then competes with the flush thread for the GIL and runs longer,
-and writes wait through all of it (EXPERIMENTS.md).
+One lock, ``_lock``, serialises writes, the pin of ``(epoch, delta
+view)`` that opens every flush, and the two short ends of a compaction:
+the freeze (and fold of the base columns) before the build, and the
+publish (and prune of the delta) after it.  The build itself runs with
+the lock released, so writes and flush pins go on while it runs;
+compactions take turns on a second lock, ``_compacting``.  Every pin is
+exact on either side of the publish: before it, ``(old epoch, full
+delta)`` — the delta still holds every frozen operation; after it,
+``(new epoch, pruned delta)`` — the prune drops only operations whose
+sequence number the freeze covered.  Off the lock the writer no longer
+waits for the build; an earlier off-lock variant that still made it
+wait was measured and dropped (EXPERIMENTS.md, "Compaction under the
+engine lock").
 
 Per flush, the engine packs the coalesced query points into a tiny
 query-side MBRQT (built in a scratch manager, so its build/read I/O is
@@ -59,7 +65,7 @@ import threading
 import time
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Sequence
+from typing import Callable, ContextManager, Sequence
 
 import numpy as np
 
@@ -132,6 +138,9 @@ class BatchEngine:
         order = np.argsort(point_ids, kind="stable")
         point_ids, points = point_ids[order], points[order]
         self._lock = threading.Lock()
+        # Compactions take turns on their own lock, held across the
+        # unlocked build, so one freeze is published before the next.
+        self._compacting = threading.Lock()
         self._base_ids = point_ids  # guarded-by: _lock
         self._base_points = points  # guarded-by: _lock
         self._live = set(point_ids.tolist())  # guarded-by: _lock
@@ -240,25 +249,48 @@ class BatchEngine:
             self.delta.delete(point_id)
             return True
 
-    def compact(self) -> int | None:
+    def compact(
+        self, on_lock_hold: Callable[[float, float], None] | None = None
+    ) -> int | None:
         """Fold the pending delta into a freshly built, published epoch.
 
         Returns the new epoch number, or ``None`` when the delta was
-        empty (no epoch published).  Freezes the delta, folds it into
-        the base columns, bulk-builds the survivors and publishes them,
-        all under ``_lock``: writes and new flush pins wait for the
-        rebuild, while flushes already pinned finish on the old epoch.
+        empty (no epoch published).  Three steps, and one compaction at
+        a time (``_compacting``):
+
+        1. under ``_lock``, freeze the delta and fold the view into the
+           base columns;
+        2. with the lock released, bulk-build the survivors — writes
+           land in the delta and flushes pin ``(old epoch, full delta)``
+           meanwhile;
+        3. under ``_lock``, publish the epoch, swap the base columns and
+           prune the operations the view consumed; writes made during
+           the build have later sequence numbers and survive.
+
+        A build that raises leaves the old epoch serving and the delta
+        and base columns unchanged, so the next compaction starts over.
+        ``on_lock_hold(freeze_s, publish_s)`` receives how long steps 1
+        and 3 held the lock.
         """
-        with self._lock:
-            if self.delta.n_ops == 0:
-                return None
-            view = self.delta.freeze()
-            ids, points = view.fold(self._base_ids, self._base_points)
-            version = self._build_version(self.versions.epoch + 1, ids, points)
-            self.versions.publish(version)
-            self._base_ids, self._base_points = ids, points
-            self.delta.prune_through(view)
-            return version.epoch
+        with self._compacting:
+            with self._lock:
+                t0 = time.perf_counter()
+                if self.delta.n_ops == 0:
+                    return None
+                view = self.delta.freeze()
+                ids, points = view.fold(self._base_ids, self._base_points)
+                epoch = self.versions.epoch + 1
+                freeze_s = time.perf_counter() - t0
+            version = self._build_version(epoch, ids, points)
+            with self._lock:
+                t0 = time.perf_counter()
+                self.versions.publish(version)
+                self._base_ids, self._base_points = ids, points
+                self.delta.prune_through(view)
+                publish_s = time.perf_counter() - t0
+            if on_lock_hold is not None:
+                on_lock_hold(freeze_s, publish_s)
+            return epoch
 
     # -- flush execution -----------------------------------------------------
 

@@ -119,7 +119,8 @@ class AnnService:
     Reads ride immutable per-epoch snapshots; :meth:`insert` /
     :meth:`delete` land in the engine's delta index and are visible from
     the next flush, with automatic compaction (a zero-downtime epoch
-    hot-swap) every ``compact_threshold`` pending operations.
+    hot-swap) every ``compact_threshold`` pending operations — on a
+    background thread in threaded mode, inline under :meth:`pump`.
     """
 
     def __init__(
@@ -145,6 +146,8 @@ class AnnService:
         self._dead: set[int] = set()  # guarded-by: _cond
         self._buckets: dict[str, TokenBucket] = {}  # guarded-by: _cond
         self._ewma_batch_s: float | None = None  # guarded-by: _cond
+        self._compactor: threading.Thread | None = None  # guarded-by: _cond
+        self._compact_error: Exception | None = None  # guarded-by: _cond
         # The tracer keeps one span stack, so traced flushes take turns.
         self._trace_lock = threading.Lock()
         # Tracing is wired for the whole service lifetime: the storage
@@ -394,10 +397,11 @@ class AnnService:
 
         The point lands in the engine's delta index; in-process queries
         from the very next flush include it.  Once ``compact_threshold``
-        operations are pending, :meth:`compact` folds the delta into a
+        operations are pending, a compaction folds the delta into a
         freshly built base index published as a new epoch — a
         zero-downtime hot swap (in-flight flushes finish on their pinned
-        epoch).
+        epoch) that runs in the background while flush workers run
+        (:meth:`_maybe_compact`).
         """
         self._check_open()
         self.engine.insert(point, point_id)
@@ -421,15 +425,71 @@ class AnnService:
         return True
 
     def compact(self) -> int | None:
-        """Force a compaction now; returns the new epoch (or ``None``)."""
-        epoch = self.engine.compact()
+        """Force a compaction now; returns the new epoch (or ``None``).
+
+        Waits for an in-flight background compaction first.  If a
+        background compaction failed since the last forced call, raises
+        its error instead of compacting (the failed build left the old
+        epoch serving and the delta intact).
+        """
+        with self._cond:
+            compactor = self._compactor
+        if compactor is threading.current_thread():
+            # The background run: keep a failure for the next forced
+            # call rather than lose it to the thread.
+            try:
+                return self._compact_now()
+            except Exception as exc:
+                with self._cond:
+                    self._compact_error = exc
+                return None
+        if compactor is not None:
+            compactor.join()
+        with self._cond:
+            error, self._compact_error = self._compact_error, None
+        if error is not None:
+            raise error
+        return self._compact_now()
+
+    def _compact_now(self) -> int | None:
+        epoch = self.engine.compact(self._record_lock_hold)
         if epoch is not None:
             with self._cond:
                 self.counters.compactions += 1
         return epoch
 
+    def _record_lock_hold(self, freeze_s: float, publish_s: float) -> None:
+        """Trace how long a compaction held the engine lock."""
+        tracer = self._session.tracer
+        if tracer is not None:
+            with self._trace_lock:
+                tracer.counter("service.compact_freeze_lock_ms", 1e3 * freeze_s)
+                tracer.counter("service.compact_publish_lock_ms", 1e3 * publish_s)
+
     def _maybe_compact(self) -> None:
-        if self.engine.pending_ops >= self.config.compact_threshold:
+        """Compact once ``compact_threshold`` operations are pending.
+
+        With flush workers running, the compaction runs on one
+        background thread (skipped while one is in flight), so the
+        write that crossed the threshold does not wait for the build.
+        Driven by :meth:`pump`, it runs inline.  The thread's target is
+        the ``compact`` attribute, so a wrapper put there times the
+        whole background run.
+        """
+        if self.engine.pending_ops < self.config.compact_threshold:
+            return
+        with self._cond:
+            if self._closed:
+                return
+            inline = not self._workers
+            if not inline:
+                if self._compactor is not None and self._compactor.is_alive():
+                    return
+                self._compactor = threading.Thread(
+                    target=self.compact, name="repro-ann-compactor", daemon=True
+                )
+                self._compactor.start()
+        if inline:
             self.compact()
 
     def _check_open(self) -> None:
@@ -485,7 +545,8 @@ class AnnService:
     # -- shutdown ------------------------------------------------------------
 
     def close(self) -> dict[str, Any]:
-        """Stop the workers, fail the unflushed queue, finalise the trace.
+        """Stop the workers, wait for an in-flight compaction, fail the
+        unflushed queue, finalise the trace.
 
         Idempotent, and every admitted request *completes* before close
         returns — answered if its batch already flushed, otherwise
@@ -501,9 +562,12 @@ class AnnService:
                 return {}
             self._closed = True
             workers = list(self._workers)
+            compactor = self._compactor
             self._cond.notify_all()
         for thread in workers:
             thread.join()
+        if compactor is not None:
+            compactor.join()
         with self._cond:
             self._workers = []
             stranded = self._queue.take_all()

@@ -29,7 +29,10 @@ the bytes *live*, not what the cost model says they cost.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -99,9 +102,16 @@ def write_epoch(
     storage layer sits below the index layer).  Returns the directory.
     The layout is deliberately dumb — flat binary plus JSON — so a
     replica can attach with one ``np.memmap`` call and no framing code.
+
+    The files are written into a temporary sibling directory that is
+    renamed into place once complete, so a reader never sees one
+    export's ``pages.bin`` beside another's ``lengths.bin`` or
+    ``meta.json`` — not even when ``path`` holds a stale export from an
+    earlier run.  An export that fails leaves ``path`` as it was; while
+    a stale directory is being replaced, ``path`` briefly does not
+    exist, which a reader sees as a missing artifact.
     """
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     page_size = snapshot.page_size
     lengths = np.asarray([len(p) for p in snapshot.pages], dtype=np.uint32)
     padded = np.zeros((len(snapshot.pages), page_size), dtype=np.uint8)
@@ -111,9 +121,6 @@ def write_epoch(
                 f"page {i} is {len(page)} bytes, wider than page_size {page_size}"
             )
         padded[i, : len(page)] = np.frombuffer(page, dtype=np.uint8)
-    (out / _PAGES_FILE).write_bytes(padded.tobytes())
-    (out / _LENGTHS_FILE).write_bytes(lengths.astype("<u4").tobytes())
-    (out / _SPEC_FILE).write_bytes(pickle.dumps(spec))
     meta = EpochMeta(
         epoch=epoch,
         size=size,
@@ -121,7 +128,23 @@ def write_epoch(
         n_pages=len(snapshot.pages),
         disk=snapshot.disk,
     )
-    (out / _META_FILE).write_text(json.dumps(meta.as_dict(), indent=2))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        (tmp / _PAGES_FILE).write_bytes(padded.tobytes())
+        (tmp / _LENGTHS_FILE).write_bytes(lengths.astype("<u4").tobytes())
+        (tmp / _SPEC_FILE).write_bytes(pickle.dumps(spec))
+        (tmp / _META_FILE).write_text(json.dumps(meta.as_dict(), indent=2))
+        if out.exists():
+            stale = tmp.with_name(tmp.name + ".stale")
+            os.replace(out, stale)
+            os.replace(tmp, out)
+            shutil.rmtree(stale)
+        else:
+            os.replace(tmp, out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return out
 
 

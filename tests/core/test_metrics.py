@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.geometry import Rect, RectArray
 from repro.core.metrics import (
     dist_point_points,
-    dist_points,
     maxdist_per_dim,
     maxmaxdist,
     maxmaxdist_batch,
@@ -46,9 +45,6 @@ def rect_pairs(dims):
 
 
 class TestPointDistances:
-    def test_dist_points(self):
-        assert dist_points([0, 0], [3, 4]) == pytest.approx(5.0)
-
     def test_dist_point_points(self):
         d = dist_point_points([0, 0], np.array([[3, 4], [0, 0], [1, 0]]))
         assert np.allclose(d, [5, 0, 1])

@@ -188,6 +188,23 @@ class TestCluster:
             assert cluster.replicas[0].ping() == cluster.epoch
             assert cluster.engine.pending_ops == 0
 
+    def test_started_cluster_still_compacts_inline(self, tmp_path):
+        # Replicas serve only published epochs, so the write that crosses
+        # the threshold must return with the fleet already swapped, even
+        # while flush workers run.
+        points = make_points(n=16)
+        config = ServeConfig(
+            replicas=1,
+            service=ServiceConfig(cold_flush=False, pool_pages=32, compact_threshold=4),
+        )
+        with ReplicaCluster(points, config, tmp_path, inline=True) as cluster:
+            cluster.start()
+            for i in range(4):
+                cluster.insert(RNG.normal(size=2), point_id=1000 + i)
+            assert cluster.epoch == 1
+            assert cluster.replicas[0].ping() == 1
+            assert cluster._compactor is None
+
     def test_shared_cache_traffic_surfaces(self, tmp_path):
         points = make_points(n=64)
         config = ServeConfig(

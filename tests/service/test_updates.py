@@ -1,6 +1,8 @@
 """The service write path: live updates, tombstones, and epoch hot swaps."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -247,3 +249,189 @@ class TestLifecycleAndCounters:
         assert doc["service"]["inserts"] == 5.0
         assert doc["service"]["compactions"] == 1.0
         assert doc["service"]["answered"] == 1.0
+
+
+def _brute_knn(alive, probe, k):
+    """``(distance, id)`` pairs of the k nearest live points."""
+    ids = np.array(list(alive))
+    pts = np.stack([alive[i] for i in ids])
+    dists = np.sqrt(((pts - probe) ** 2).sum(axis=1))
+    return sorted(zip(dists.tolist(), ids.tolist()))[:k]
+
+
+def _answer_pairs(answer):
+    return sorted(zip(answer.distances, answer.neighbor_ids))
+
+
+def _hold_builds(service):
+    """Make every epoch build wait on ``release``; ``entered`` is set
+    once a build is running (its delta already frozen)."""
+    entered, release = threading.Event(), threading.Event()
+    build = service.engine._build_version
+
+    def held(*args):
+        entered.set()
+        assert release.wait(timeout=30)
+        return build(*args)
+
+    service.engine._build_version = held
+    return entered, release
+
+
+def _wait_for_epoch(service, epoch, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while service.engine.epoch < epoch:
+        assert time.monotonic() < deadline, f"epoch {epoch} never published"
+        time.sleep(0.001)
+
+
+class TestBackgroundCompaction:
+    """Threaded mode: the write that crosses ``compact_threshold`` hands
+    the rebuild to one background thread and returns."""
+
+    def test_interleaved_writes_and_reads_during_a_held_build(
+        self, target_points, query_points
+    ):
+        service = AnnService(target_points, service_config(compact_threshold=7, max_batch=4))
+        entered, release = _hold_builds(service)
+        alive = {i: p for i, p in enumerate(target_points)}
+        rng = np.random.default_rng(31)
+        with service.serving():
+            # Before the freeze: 4 inserts and 4 deletes, one of them of a
+            # pending insert (7 delta operations); the last write starts
+            # the compaction, which freezes them and holds.
+            for j in range(4):
+                alive[1000 + j] = rng.random(DIMS)
+                service.insert(alive[1000 + j], 1000 + j)
+            for pid in (1000, 0, 1, 2):
+                assert service.delete(pid)
+                del alive[pid]
+            assert entered.wait(timeout=30)
+            # While the build is held: inserts, deletes of base ids and of
+            # frozen or fresh inserts, re-inserts of ids deleted before and
+            # after the freeze, and queries.
+            after_inserts, after_deletes = {}, set()
+            ops = [
+                ("insert", 2000), ("delete", 5), ("delete", 1001), ("insert", 2001),
+                ("delete", 2001), ("insert", 0), ("insert", 5), ("delete", 6),
+                ("insert", 1000), ("delete", 1002), ("insert", 1002),
+            ]
+            for step, (kind, pid) in enumerate(ops):
+                if kind == "insert":
+                    alive[pid] = after_inserts[pid] = rng.random(DIMS)
+                    service.insert(alive[pid], pid)
+                else:
+                    assert service.delete(pid)
+                    del alive[pid]
+                    after_inserts.pop(pid, None)
+                    after_deletes.add(pid)
+                probe = query_points[step]
+                answer = service.query(probe, k=3)
+                assert _answer_pairs(answer) == _brute_knn(alive, probe, 3)
+            assert service.engine.epoch == 0  # still held: old epoch serving
+            assert service.counters.compactions == 0
+            release.set()
+            _wait_for_epoch(service, 1)
+            # The publish pruned exactly the frozen operations.
+            view = service.engine.delta.freeze()
+            assert {pid for __, pid, __ in view.inserts} == set(after_inserts)
+            assert view.tombstones == after_deletes
+            assert service.engine.size == N_TARGET  # 3 base deletes, 3 inserts kept
+            for probe in query_points:
+                answer = service.query(probe, k=3)
+                assert _answer_pairs(answer) == _brute_knn(alive, probe, 3)
+        assert service.counters.compactions == 1
+
+    def test_forced_compact_waits_for_the_inflight_one(self, target_points):
+        service = AnnService(target_points, service_config(compact_threshold=4))
+        entered, release = _hold_builds(service)
+        with service.serving():
+            for pid in range(4):
+                assert service.delete(pid)
+            assert entered.wait(timeout=30)
+            service.insert(np.array([0.5, 0.5]), 4000)  # after the freeze
+            results = []
+            forced = threading.Thread(target=lambda: results.append(service.compact()))
+            forced.start()
+            forced.join(timeout=0.2)
+            assert forced.is_alive()  # waiting behind the held build
+            release.set()
+            forced.join(timeout=30)
+            # The background run published epoch 1; the forced one
+            # folded the insert made during it.
+            assert results == [2]
+            assert service.engine.pending_ops == 0
+            assert service.compact() is None
+
+    def test_failed_build_keeps_the_old_epoch_and_reraises(
+        self, target_points, query_points
+    ):
+        service = AnnService(target_points, service_config(compact_threshold=4))
+        build = service.engine._build_version
+        failures = []
+
+        def fail_once(*args):
+            if not failures:
+                failures.append(args[0])
+                raise RuntimeError("injected build failure")
+            return build(*args)
+
+        service.engine._build_version = fail_once
+        base_ids = service.engine._base_ids.copy()
+        alive = {i: p for i, p in enumerate(target_points)}
+        with service.serving():
+            for pid in range(4):
+                assert service.delete(pid)
+                del alive[pid]
+            with pytest.raises(RuntimeError, match="injected build failure"):
+                service.compact()
+            assert failures == [1]
+            assert service.engine.epoch == 0
+            assert service.engine.pending_ops == 4
+            assert np.array_equal(service.engine._base_ids, base_ids)
+            for probe in query_points[:6]:
+                answer = service.query(probe, k=2)
+                assert _answer_pairs(answer) == _brute_knn(alive, probe, 2)
+            # The next compaction runs: here a background one.
+            alive[4001] = np.array([0.25, 0.75])
+            service.insert(alive[4001], 4001)
+            _wait_for_epoch(service, 1)
+            assert service.compact() is None  # the error was raised once
+            for probe in query_points[:6]:
+                answer = service.query(probe, k=2)
+                assert _answer_pairs(answer) == _brute_knn(alive, probe, 2)
+        assert service.counters.compactions == 1
+
+    def test_failed_inline_build_leaves_the_engine_unchanged(self, target_points):
+        service = fresh_service(target_points)
+        engine = service.engine
+        build = engine._build_version
+        for pid in range(3):
+            assert service.delete(pid)
+
+        def fail(*args):
+            raise RuntimeError("injected build failure")
+
+        engine._build_version = fail
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            service.compact()
+        assert (engine.epoch, engine.pending_ops, engine.size) == (0, 3, N_TARGET)
+        engine._build_version = build
+        assert service.compact() == 1
+        assert engine.size == N_TARGET - 3
+        service.close()
+
+    def test_trace_records_lock_hold_times(self, tmp_path, target_points):
+        path = tmp_path / "trace.json"
+        service = AnnService(
+            target_points, service_config(compact_threshold=2, trace=str(path))
+        )
+        for pid in range(4):
+            assert service.delete(pid)
+        service.close()
+        doc = json.loads(path.read_text())
+        assert validate_trace(doc) is doc
+        counters = doc["root"]["counters"]
+        assert doc["service"]["compactions"] == 2.0
+        assert counters["service.compact_freeze_lock_ms"] > 0.0
+        assert counters["service.compact_publish_lock_ms"] > 0.0

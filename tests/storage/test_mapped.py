@@ -9,6 +9,8 @@ These tests pin that property down with hypothesis over arbitrary node
 payloads and both file layouts.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro.storage import (
     EPOCH_FORMAT,
     StorageManager,
+    load_epoch_spec,
     map_manager,
     map_store,
     read_epoch_meta,
@@ -136,6 +139,46 @@ class TestArtifact:
         manager = map_manager(out)
         with pytest.raises(RuntimeError, match="read-only"):
             manager.create_file()
+
+
+def _snapshot(payloads):
+    manager = StorageManager(page_size=PAGE, pool_pages=8)
+    file = manager.create_file(pack_pages=False)
+    for payload in payloads:
+        file.append_node(payload)
+    file.flush()
+    return manager.snapshot()
+
+
+class TestAtomicExport:
+    def test_torn_export_over_a_stale_epoch_leaves_it_whole(self, tmp_path, monkeypatch):
+        # A reused workdir: epoch-000001 holds an earlier run's export,
+        # and the new export of the same epoch number dies right after
+        # writing pages.bin.  Same page count on both sides, so a torn
+        # directory would map without any error.
+        old = _snapshot([b"old", b"o" * 200])
+        new = _snapshot([b"n" * 100, b"new"])
+        target = tmp_path / "epoch-000001"
+        write_epoch(target, old, spec="old", epoch=1, size=2)
+        write_bytes = Path.write_bytes
+
+        def crash_after_pages(self, data):
+            if self.name == "lengths.bin":
+                raise OSError("injected crash after pages.bin")
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", crash_after_pages)
+        with pytest.raises(OSError, match="injected crash"):
+            write_epoch(target, new, spec="new", epoch=1, size=2)
+        monkeypatch.undo()
+        assert map_store(target).dump_pages() == old.pages
+        assert load_epoch_spec(target) == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch-000001"]
+        # A complete export replaces the stale one whole.
+        write_epoch(target, new, spec="new", epoch=1, size=2)
+        assert map_store(target).dump_pages() == new.pages
+        assert load_epoch_spec(target) == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch-000001"]
 
 
 class TestMappedPageStoreGeometry:
