@@ -6,11 +6,13 @@ here instead: inserts accumulate as an in-memory memtable, deletes as
 **tombstones** that mask base-index points at query time.  A query then
 answers against ``base ⊎ delta``:
 
-1. run the base index query *over-fetched* to ``k + n_tombstones``
-   candidates (a tombstone can knock out at most one base candidate, so
-   at least ``k`` base survivors remain — the soundness argument
-   :func:`merge_answer` relies on);
-2. drop tombstoned base candidates;
+1. find the ``k`` nearest *live* base points: a batched query at ``k``
+   whose first ``k`` candidates hold no tombstone already has them,
+   and otherwise an incremental browse skips tombstoned ids until ``k``
+   live ones have been seen (a pending delete rarely sits in a query's
+   own neighbourhood, so fetching ``k + n_tombstones`` up front would
+   almost always be wasted);
+2. drop tombstoned base candidates, if any were passed;
 3. brute-force the (small, memory-resident) delta inserts and merge the
    two candidate streams by ``(distance, id)``.
 
@@ -174,15 +176,15 @@ def merge_answer(
     k: int,
     delta: DeltaView,
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Merge an over-fetched base answer with a frozen delta view.
+    """Merge a base answer with a frozen delta view.
 
-    ``base_ids``/``base_dists`` must come from a base-index query with
-    ``k_eff = k + delta.n_tombstones`` (or the whole index, if smaller):
-    each tombstone can remove at most one base candidate, so after
-    masking at least ``min(k, base_survivors)`` of the true base top-k
-    remain.  Delta inserts are scanned exactly.  Ties break by id, the
-    same total order the join result layer uses, so merged answers are
-    deterministic.
+    Once tombstoned ids are dropped, ``base_ids``/``base_dists`` must
+    begin with the ``k`` nearest live base points (all of them, if the
+    base holds fewer): for example the first ``k`` candidates of a
+    base-index query with no tombstone among them, or a browse that
+    skipped tombstoned ids.  Delta inserts are scanned exactly.  Ties
+    break by id, the same total order the join result layer uses, so
+    merged answers are deterministic.
     """
     keep = [
         (float(d), int(i))

@@ -16,8 +16,8 @@ The **write path** layers on top without touching any tree:
   duplicate-insert and absent-delete checks;
 * :meth:`insert` / :meth:`delete` update the live-id set and record the
   operation in an LSM-style :class:`~repro.index.delta.DeltaIndex`;
-* queries over-fetch the pinned base epoch by the tombstone count and
-  merge the frozen delta view into every answer
+* queries fetch the pinned base epoch at the requested ``k``, mask
+  tombstones exactly, and merge the frozen delta view into every answer
   (:func:`~repro.index.delta.merge_answer`) — updates are visible
   immediately, exactly, without any base-index mutation;
 * :meth:`compact` folds the delta into the base columns and bulk-builds
@@ -29,9 +29,9 @@ The **write path** layers on top without touching any tree:
 
 One lock, ``_lock``, serialises writes, the pin of ``(epoch, delta
 view)`` that opens every flush, and the two short ends of a compaction:
-the freeze (and fold of the base columns) before the build, and the
-publish (and prune of the delta) after it.  The build itself runs with
-the lock released, so writes and flush pins go on while it runs;
+the freeze before the build, and the publish (and prune of the delta)
+after it.  The fold and the build run with the lock released, so writes
+and flush pins go on while they run;
 compactions take turns on a second lock, ``_compacting``.  Every pin is
 exact on either side of the publish: before it, ``(old epoch, full
 delta)`` — the delta still holds every frozen operation; after it,
@@ -51,7 +51,10 @@ thesis applied to an online arrival stream.  Two execution modes:
   runs plain incremental browsing (:func:`~repro.index.queries.
   nearest_iter`); micro-batching degrades gracefully to exactly the
   one-at-a-time baseline.
-* ``batched`` — every larger flush: scratch MBRQT + one MBA traversal.
+* ``batched`` — every larger flush: scratch MBRQT + one MBA traversal
+  at ``k = max(r.k)``.  A request with a tombstone among its first
+  ``k`` base neighbours — rare: a delete must hit a query's own
+  neighbourhood — is answered instead by browsing past the tombstones.
 
 Past-deadline requests never ride the exact traversal: they get a
 *budgeted browse* — ``nearest_iter`` abandoned after ``degrade_budget``
@@ -258,11 +261,11 @@ class BatchEngine:
         empty (no epoch published).  Three steps, and one compaction at
         a time (``_compacting``):
 
-        1. under ``_lock``, freeze the delta and fold the view into the
-           base columns;
-        2. with the lock released, bulk-build the survivors — writes
-           land in the delta and flushes pin ``(old epoch, full delta)``
-           meanwhile;
+        1. under ``_lock``, freeze the delta and take the base columns;
+        2. with the lock released, fold the view into those columns and
+           bulk-build the survivors — writes land in the delta and
+           flushes pin ``(old epoch, full delta)`` meanwhile; the
+           columns are replaced only in step 3, under ``_compacting``;
         3. under ``_lock``, publish the epoch, swap the base columns and
            prune the operations the view consumed; writes made during
            the build have later sequence numbers and survive.
@@ -278,9 +281,10 @@ class BatchEngine:
                 if self.delta.n_ops == 0:
                     return None
                 view = self.delta.freeze()
-                ids, points = view.fold(self._base_ids, self._base_points)
+                base_ids, base_points = self._base_ids, self._base_points
                 epoch = self.versions.epoch + 1
                 freeze_s = time.perf_counter() - t0
+            ids, points = view.fold(base_ids, base_points)
             version = self._build_version(epoch, ids, points)
             with self._lock:
                 t0 = time.perf_counter()
@@ -362,8 +366,8 @@ def execute_pinned(
         t0 = time.process_time()
         with stage("degrade"):
             for request in late:
-                answers[request.request_id] = _budgeted_browse(
-                    config, request, stats, version, delta
+                answers[request.request_id] = _browse(
+                    request, stats, version, delta, config.degrade_budget
                 )
         mode = "degraded"
         if live and version.size == 0:
@@ -383,26 +387,28 @@ def execute_pinned(
         elif len(live) == 1:
             mode = "singleton"
             with stage("traverse"):
-                answers[live[0].request_id] = _exact_single(
-                    live[0], stats, version, delta
-                )
+                answers[live[0].request_id] = _browse(live[0], stats, version, delta)
         elif live:
-            # Over-fetch by the tombstone count: each tombstone can
-            # mask at most one base candidate, so k survivors remain.
-            kmax = max(r.k for r in live) + delta.n_tombstones
             mode = "batched"
             with stage("traverse"):
+                kmax = max(r.k for r in live)
                 result = _batched_join(config, live, kmax, stats, trace, version)
-            for i, request in enumerate(live):
-                bucket = result.neighbors_of(i)[: request.k + delta.n_tombstones]
-                ids, dists = merge_answer(
-                    np.asarray([s_id for __, s_id in bucket], dtype=np.int64),
-                    np.asarray([dist for dist, __ in bucket]),
-                    request.point,
-                    request.k,
-                    delta,
-                )
-                answers[request.request_id] = (ids, dists, False)
+                for i, request in enumerate(live):
+                    bucket = result.neighbors_of(i)[: request.k]
+                    if any(s_id in delta.tombstones for __, s_id in bucket):
+                        # A tombstone masks one of the k: browse past it.
+                        answers[request.request_id] = _browse(
+                            request, stats, version, delta
+                        )
+                        continue
+                    ids, dists = merge_answer(
+                        np.asarray([s_id for __, s_id in bucket], dtype=np.int64),
+                        np.asarray([dist for dist, __ in bucket]),
+                        request.point,
+                        request.k,
+                        delta,
+                    )
+                    answers[request.request_id] = (ids, dists, False)
         stats.cpu_time_s += time.process_time() - t0
     stats.add_io(version.manager.io_snapshot())
     return FlushOutcome(
@@ -418,65 +424,44 @@ def execute_pinned(
 # -- execution modes ---------------------------------------------------------
 
 
-def _exact_single(
+def _browse(
     request: Request,
     stats: QueryStats,
     version: IndexVersion,
     delta: DeltaView,
+    budget: int | None = None,
 ) -> RawAnswer:
-    """Singleton fallback: incremental browsing, first k results.
+    """Incremental browsing to the first ``k`` live base points, merged.
 
-    With an empty delta, bit-identical to a standalone
-    ``nearest_iter`` over the same store — the golden test's baseline
-    and the B=1 service mode.  With a delta, over-fetched by the
-    tombstone count and merged.
+    ``nearest_iter`` is browsed past tombstoned ids until ``k`` live
+    ids are found — exactly the ``k`` nearest live base points — then
+    merged with the delta.  With an empty delta, bit-identical to a
+    standalone ``nearest_iter`` prefix: the golden test's baseline and
+    the B=1 service mode.
+
+    A ``budget`` is graceful degradation: browsing stops after that
+    many node expansions.  The generator's frontier is exact at every
+    step, so what it has yielded by then is the true ordered prefix —
+    possibly short, never wrong — and the answer is flagged approximate
+    because completeness was sacrificed.
     """
-    k_eff = request.k + delta.n_tombstones
     ids: list[int] = []
     dists: list[float] = []
-    for dist, point_id, __ in nearest_iter(version.index, request.point, stats):
-        ids.append(point_id)
-        dists.append(dist)
-        if len(ids) >= k_eff:
-            break
-    merged_ids, merged_dists = merge_answer(
-        np.asarray(ids, dtype=np.int64), np.asarray(dists),
-        request.point, request.k, delta,
-    )
-    return merged_ids, merged_dists, False
-
-
-def _budgeted_browse(
-    config: ServiceConfig,
-    request: Request,
-    stats: QueryStats,
-    version: IndexVersion,
-    delta: DeltaView,
-) -> RawAnswer:
-    """Graceful degradation: browse under a node-expansion budget.
-
-    The generator's frontier is exact at every step, so whatever it
-    has yielded when the budget runs out is the true ordered prefix
-    of the k-NN (over base ⊎ delta after the merge) — possibly
-    short, never wrong — flagged approximate because completeness
-    was sacrificed.
-    """
-    budget = config.degrade_budget
-    k_eff = request.k + delta.n_tombstones
-    ids: list[int] = []
-    dists: list[float] = []
-    if budget > 0:
+    if budget is None or budget > 0:
         start = stats.node_expansions
         for dist, point_id, __ in nearest_iter(version.index, request.point, stats):
-            ids.append(point_id)
-            dists.append(dist)
-            if len(ids) >= k_eff or stats.node_expansions - start >= budget:
+            if point_id not in delta.tombstones:
+                ids.append(point_id)
+                dists.append(dist)
+                if len(ids) >= request.k:
+                    break
+            if budget is not None and stats.node_expansions - start >= budget:
                 break
     merged_ids, merged_dists = merge_answer(
         np.asarray(ids, dtype=np.int64), np.asarray(dists),
         request.point, request.k, delta,
     )
-    return merged_ids, merged_dists, True
+    return merged_ids, merged_dists, budget is not None
 
 
 def _build_query_index(

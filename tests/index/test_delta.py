@@ -158,8 +158,10 @@ class TestMergeAnswer:
         # Build a ground-truth point set, split it arbitrarily into a
         # "base" part and a "delta insert" part, tombstone some extra
         # base-only ids, and check merge_answer == brute force over the
-        # surviving union, provided the base answer is over-fetched by
-        # n_tombstones as the engine does.
+        # surviving union for either base answer that begins, once
+        # tombstones are dropped, with the k nearest live base points:
+        # one over-fetched by n_tombstones, or the first k base
+        # candidates with no tombstone among them.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         n_base = data.draw(st.integers(0, 20))
         n_delta = data.draw(st.integers(0, 8))
@@ -178,13 +180,15 @@ class TestMergeAnswer:
             tombstones=frozenset(int(d) for d in dead),
             last_seq=n_delta,
         )
-        k_eff = k + view.n_tombstones
-        base_ids, base_dists = _brute_top_k(base, query, k_eff)
-
-        survivors = {pid: pt for pid, pt in base.items() if pid not in dead}
+        live_base = {pid: pt for pid, pt in base.items() if pid not in dead}
+        survivors = dict(live_base)
         survivors.update(delta_pts)
         want = _brute_top_k(survivors, query, k)
-        got = merge_answer(
-            np.asarray(base_ids), np.asarray(base_dists), query, k, view
-        )
-        assert got == want
+        for base_ids, base_dists in (
+            _brute_top_k(base, query, k + view.n_tombstones),
+            _brute_top_k(live_base, query, k),
+        ):
+            got = merge_answer(
+                np.asarray(base_ids), np.asarray(base_dists), query, k, view
+            )
+            assert got == want

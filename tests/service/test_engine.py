@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.stats import QueryStats
 from repro.service import BatchEngine, ServiceConfig
@@ -69,6 +71,92 @@ class TestExecute:
         first = engine.execute(requests, now_s=0.0)
         second = engine.execute(requests, now_s=0.0)
         assert second.stats.page_misses < first.stats.page_misses
+
+
+def _brute_knn(alive, probe, k):
+    """``(distance, id)`` pairs of the k nearest live points."""
+    scored = sorted(
+        (float(np.sqrt(((pt - probe) ** 2).sum())), pid) for pid, pt in alive.items()
+    )
+    return scored[:k]
+
+
+class TestTombstoneMasking:
+    """The base epoch is fetched at the requested k and tombstones are
+    masked exactly; a request whose first k base neighbours hold a
+    tombstone falls back to a browse that skips it."""
+
+    @given(st.data())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_answers_match_brute_force_over_survivors(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        n = data.draw(st.integers(10, 150))
+        points = rng.random((n, 2))
+        engine = BatchEngine(points, ServiceConfig(page_size=512))
+        alive = dict(enumerate(points))
+        dead: list[int] = []
+        next_id = n
+        for __ in range(data.draw(st.integers(1, 4))):
+            for op in data.draw(
+                st.lists(st.sampled_from(["insert", "delete", "reinsert"]), max_size=10)
+            ):
+                if op == "delete" and len(alive) > 1:
+                    victim = data.draw(st.sampled_from(sorted(alive)))
+                    assert engine.delete(victim)
+                    del alive[victim]
+                    dead.append(victim)
+                elif op == "reinsert" and dead:
+                    pid = dead.pop(data.draw(st.integers(0, len(dead) - 1)))
+                    alive[pid] = rng.random(2)
+                    engine.insert(alive[pid], pid)
+                else:
+                    alive[next_id] = rng.random(2)
+                    engine.insert(alive[next_id], next_id)
+                    next_id += 1
+            if data.draw(st.booleans()):
+                engine.compact()
+            queries = rng.random((data.draw(st.integers(1, 8)), 2))
+            ks = [data.draw(st.integers(1, 4)) for __ in queries]
+            # Delete some queries' current nearest neighbours, so their
+            # first k base candidates hold a tombstone.
+            for q in queries:
+                if len(alive) > 1 and data.draw(st.booleans()):
+                    ((__, victim),) = _brute_knn(alive, q, 1)
+                    assert engine.delete(victim)
+                    del alive[victim]
+                    dead.append(victim)
+            requests = [
+                Request(request_id=i, point=q, k=k, submitted_s=0.0, deadline_s=None)
+                for i, (q, k) in enumerate(zip(queries, ks))
+            ]
+            outcome = engine.execute(requests, now_s=0.0)
+            for i, (q, k) in enumerate(zip(queries, ks)):
+                ids, dists, approximate = outcome.answers[i]
+                assert not approximate
+                assert dists == tuple(d for d, __ in _brute_knn(alive, q, k))
+                for pid, dist in zip(ids, dists):
+                    assert float(np.sqrt(((alive[pid] - q) ** 2).sum())) == dist
+
+    @pytest.mark.parametrize("n_queries", [1, 6])
+    def test_far_tombstones_cost_no_extra_work(self, rng, n_queries):
+        # Tombstones far from every query mask nothing there, so the
+        # flush does exactly the work of the same flush with no delta.
+        near = rng.random((300, 2))
+        far = 50.0 + rng.random((16, 2))
+        engine = BatchEngine(np.vstack([near, far]), ServiceConfig(page_size=512))
+        requests = make_requests(rng.random((n_queries, 2)), k=2)
+        clean = engine.execute(requests, now_s=0.0)
+        for pid in range(300, 316):
+            assert engine.delete(pid)
+        masked = engine.execute(requests, now_s=0.0)
+        assert masked.mode == clean.mode
+        assert masked.answers == clean.answers
+        assert masked.stats.distance_evaluations == clean.stats.distance_evaluations
+        assert masked.stats.node_expansions == clean.stats.node_expansions
 
 
 class TestReadOnlyDiscipline:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data import gstd
+from repro.index.delta import DeltaView
 from repro.obs import validate_trace
 from repro.service import AnnService, FakeClock
 
@@ -421,14 +422,23 @@ class TestBackgroundCompaction:
         assert engine.size == N_TARGET - 3
         service.close()
 
-    def test_trace_records_lock_hold_times(self, tmp_path, target_points):
+    def test_trace_records_lock_hold_times(self, tmp_path, target_points, monkeypatch):
         path = tmp_path / "trace.json"
         service = AnnService(
             target_points, service_config(compact_threshold=2, trace=str(path))
         )
+        # The fold runs outside the freeze window, with _lock released.
+        fold, fold_locked = DeltaView.fold, []
+
+        def recording_fold(view, ids, points):
+            fold_locked.append(service.engine._lock.locked())
+            return fold(view, ids, points)
+
+        monkeypatch.setattr(DeltaView, "fold", recording_fold)
         for pid in range(4):
             assert service.delete(pid)
         service.close()
+        assert fold_locked == [False, False]
         doc = json.loads(path.read_text())
         assert validate_trace(doc) is doc
         counters = doc["root"]["counters"]
